@@ -9,8 +9,7 @@ Subcommands:
 Exit codes: 0 success, 1 identity-suite failure, 2 domain/pole error
 (machine-readable JSON on stdout), 64 usage error.  JSON output carries a
 "schema" version field and contains nothing run-dependent, so identical
-invocations produce identical bytes; the thread count for the identity suite
-is read from TORUSZETA_THREADS.
+invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Any
 
@@ -235,13 +233,7 @@ def _suite_text(report: SuiteReport) -> str:
 
 def cmd_identities(args: argparse.Namespace) -> int:
     prec = _precision_from(args)
-    threads = int(os.environ.get("TORUSZETA_THREADS", "1"))
-    report = run_suite(
-        prec,
-        filter_pattern=args.filter,
-        threads=max(1, threads),
-        tol_override=args.tol_override,
-    )
+    report = run_suite(prec, filter_pattern=args.filter, tol_override=args.tol_override)
     if args.format == "json":
         _emit(args, _suite_json(report))
     elif args.format == "csv":

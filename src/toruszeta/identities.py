@@ -3,8 +3,8 @@
 Every mathematical statement realized by this package is registered here as
 an IdentityCheck that computes a (lhs, rhs) pair under a given Precision and
 compares them at a pinned tolerance.  The CLI `identities` command and the
-acceptance tests run this registry; entries are pure, so they can run on any
-number of threads with deterministic output.
+acceptance tests run this registry; entries are pure, so the output is
+deterministic.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -488,12 +487,10 @@ def registry() -> list[IdentityCheck]:
 def run_suite(
     prec: Precision = DEFAULT_PRECISION,
     filter_pattern: str | None = None,
-    threads: int = 1,
     tol_override: float | None = None,
 ) -> SuiteReport:
     """Run (a filtered subset of) the registry and report lhs/rhs/residual per
-    identity.  Entries are computed independently and reported sorted by id,
-    so the report content does not depend on the thread count."""
+    identity, in registry order (sorted by id)."""
     checks = registry()
     if filter_pattern:
         needle = filter_pattern.lower()
@@ -513,10 +510,4 @@ def run_suite(
             bool(residual <= tol), elapsed,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(run_one, checks))
-    else:
-        entries = [run_one(c) for c in checks]
-    entries.sort(key=lambda e: e.check_id)
-    return SuiteReport(entries)
+    return SuiteReport([run_one(c) for c in checks])

@@ -92,6 +92,13 @@ def cospi(z: complex) -> complex:
     return sinpi(complex(z.real + 0.5, z.imag))
 
 
+def cpow(x: np.ndarray, p: complex) -> np.ndarray:
+    """x**p for positive x: a real power when p is real, else exp(p log x)."""
+    if p.imag == 0.0:
+        return x ** p.real
+    return np.exp(p * np.log(x))
+
+
 def _near_nonpositive_integer(s: complex, tol: float = _POLE_TOL) -> bool:
     n = round(s.real)
     return n <= 0 and abs(s - n) < tol

@@ -37,7 +37,7 @@ from .domain import (
 from .errors import DomainError, PoleError, TruncationWarning
 from .eta import eta
 from .quadrature import adaptive_gauss, tanh_sinh
-from .specialfn import bessel_k, gamma, rgamma, riemann_zeta, sigma, sinpi
+from .specialfn import bessel_k, cpow, gamma, rgamma, riemann_zeta, sigma, sinpi
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -141,11 +141,7 @@ def _square_sum_block(
     def block(ms: np.ndarray, ns: np.ndarray) -> complex:
         mm, nn = np.meshgrid(ms, ns, indexing="ij")
         r2 = (mm + nn * t.tau1) ** 2 + (nn * t.tau2) ** 2
-        if s.imag == 0.0:
-            vals = r2 ** (-s.real)
-        else:
-            vals = np.exp(-s * np.log(r2))
-        return complex(np.sum(vals))
+        return complex(np.sum(cpow(r2, -s)))
 
     count = 0
     total = 0.0 + 0.0j
@@ -257,6 +253,39 @@ def _cs_main_terms(s: complex, t: TauPoint) -> complex:
 # ------------------------------------------------------------------ remainders
 
 
+def _divisor_bessel_series(
+    s: complex, t: TauPoint, prec: Precision, scale: complex = 1.0
+) -> complex:
+    """scale * sum_{n>=1} sigma_(1-2s)(n) cos(2 pi n tau1) K_(1/2-s)(2 pi n tau2) n^(s-1/2).
+
+    Terms decay like e^(-2 pi n tau2); the sum stops once two consecutive
+    scaled terms fall below series_tail_tol (1 - e^(-2 pi tau2)), which bounds
+    the geometric tail by the same tolerance."""
+    nu = 0.5 - s
+    total = 0.0 + 0.0j
+    small = 0
+    stop = prec.series_tail_tol * (1.0 - math.exp(-2.0 * math.pi * t.tau2))
+    for n in range(1, prec.n_max + 1):
+        term = (
+            sigma(1.0 - 2.0 * s, n)
+            * math.cos(2.0 * math.pi * n * t.tau1)
+            * bessel_k(nu, 2.0 * math.pi * n * t.tau2, prec)
+            * n ** (s - 0.5)
+        )
+        total += term
+        if abs(term) * abs(scale) < stop:
+            small += 1
+            if small >= 2:
+                break
+        else:
+            small = 0
+    else:
+        warnings.warn(
+            f"divisor-Bessel series hit n_max = {prec.n_max}", TruncationWarning, stacklevel=3
+        )
+    return scale * total
+
+
 def remainder_bessel(
     s: complex, tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION
 ) -> complex:
@@ -270,29 +299,7 @@ def remainder_bessel(
     if rg == 0:
         return 0.0 + 0.0j
     pref = 8.0 * math.pi**s * math.sqrt(t.tau2) * rg
-    nu = 0.5 - s
-    total = 0.0 + 0.0j
-    small = 0
-    decay = math.exp(-2.0 * math.pi * t.tau2)
-    for n in range(1, prec.n_max + 1):
-        term = (
-            sigma(1.0 - 2.0 * s, n)
-            * math.cos(2.0 * math.pi * n * t.tau1)
-            * bessel_k(nu, 2.0 * math.pi * n * t.tau2, prec)
-            * n ** (s - 0.5)
-        )
-        total += term
-        if abs(term) * abs(pref) < prec.series_tail_tol * (1.0 - decay):
-            small += 1
-            if small >= 2:
-                break
-        else:
-            small = 0
-    else:
-        warnings.warn(
-            f"remainder_bessel hit n_max = {prec.n_max}", TruncationWarning, stacklevel=2
-        )
-    return require_finite(pref * total, "remainder_bessel")
+    return require_finite(_divisor_bessel_series(s, t, prec, pref), "remainder_bessel")
 
 
 def remainder_integral(
@@ -325,11 +332,7 @@ def remainder_integral(
 
         def integrand(u: np.ndarray) -> np.ndarray:
             w = u * (u + 2.0 * n * t.tau2)
-            if s.imag == 0.0:
-                weight = w ** (-s.real)
-            else:
-                weight = np.exp(-s * np.log(w))
-            return weight * branch.log_derivative(u)
+            return cpow(w, -s) * branch.log_derivative(u)
 
         head = tanh_sinh(integrand, 0.0, 1.0, tol=tol)
         u_hi = max(2.0, 8.0 - n * t.tau2)
@@ -561,25 +564,7 @@ def remainder_fe_residual(
     t = as_tau(tau)
 
     def gamma_times_q(sv: complex) -> complex:
-        total = 0.0 + 0.0j
-        nu = 0.5 - sv
-        decay = math.exp(-2.0 * math.pi * t.tau2)
-        small = 0
-        for n in range(1, prec.n_max + 1):
-            term = (
-                sigma(1.0 - 2.0 * sv, n)
-                * math.cos(2.0 * math.pi * n * t.tau1)
-                * bessel_k(nu, 2.0 * math.pi * n * t.tau2, prec)
-                * n ** (sv - 0.5)
-            )
-            total += term
-            if abs(term) < prec.series_tail_tol * (1.0 - decay):
-                small += 1
-                if small >= 2:
-                    break
-            else:
-                small = 0
-        return 8.0 * math.pi**sv * math.sqrt(t.tau2) * total
+        return _divisor_bessel_series(sv, t, prec, 8.0 * math.pi**sv * math.sqrt(t.tau2))
 
     lhs = math.pi ** (1.0 - 2.0 * s) * gamma_times_q(s)
     rhs = gamma_times_q(1.0 - s)
@@ -595,17 +580,7 @@ def nan_yue_williams_sum(
     """sum_{n>=1} sigma_1(n) cos(2 pi n tau1) K_(1/2)(2 pi n tau2) n^(-1/2)
     paired with its closed form -(tau2^(-1/2)/2) log|eta(tau)| - tau2^(1/2) pi/24."""
     t = as_tau(tau)
-    total = 0.0
-    for n in range(1, prec.n_max + 1):
-        term = (
-            sigma(1.0, n).real
-            * math.cos(2.0 * math.pi * n * t.tau1)
-            * bessel_k(0.5, 2.0 * math.pi * n * t.tau2, prec)
-            / math.sqrt(n)
-        )
-        total += term
-        if abs(term) < 0.25 * prec.series_tail_tol:
-            break
+    total = _divisor_bessel_series(0.0, t, prec).real
     closed = (
         -0.5 * t.tau2**-0.5 * math.log(abs(eta(t, prec)))
         - math.sqrt(t.tau2) * math.pi / 24.0
@@ -624,17 +599,7 @@ def lambert_q1(
     The closed-form term is evaluated after dividing through by
     e^(2 pi i n conj(tau)) so that every exponential decays."""
     t = as_tau(tau)
-    series = 0.0
-    for n in range(1, prec.n_max + 1):
-        term = (
-            sigma(-1.0, n).real
-            * math.cos(2.0 * math.pi * n * t.tau1)
-            * bessel_k(-0.5, 2.0 * math.pi * n * t.tau2, prec)
-            * math.sqrt(n)
-        )
-        series += term
-        if abs(term) < 0.25 * prec.series_tail_tol:
-            break
+    series = _divisor_bessel_series(1.0, t, prec).real
 
     z = t.z
     closed_sum = 0.0 + 0.0j
@@ -648,6 +613,10 @@ def lambert_q1(
         closed_sum += term
         if abs(term) < 0.25 * prec.series_tail_tol:
             break
+    else:
+        warnings.warn(
+            f"lambert_q1 closed form hit n_max = {prec.n_max}", TruncationWarning, stacklevel=2
+        )
     closed = -0.25 * t.tau2**-0.5 * closed_sum.real
     return PairedValue(series, closed)
 
@@ -672,11 +641,7 @@ def mellin_remainder_tau_i(
         def integrand(u: np.ndarray) -> np.ndarray:
             root = np.sqrt(n2 + u)
             core = math.pi / (np.expm1(2.0 * math.pi * root) * root)
-            if s.imag == 0.0:
-                weight = u ** (s.real - 1.0)
-            else:
-                weight = np.exp((s - 1.0) * np.log(u))
-            return weight * core
+            return cpow(u, s - 1.0) * core
 
         head = tanh_sinh(integrand, 0.0, 1.0, tol=tol)
         u_hi = max(4.0, 54.0 - n2)
@@ -685,6 +650,10 @@ def mellin_remainder_tau_i(
         total += term
         if abs(term) < prec.series_tail_tol:
             break
+    else:
+        warnings.warn(
+            f"mellin_remainder_tau_i hit n_max = {prec.n_max}", TruncationWarning, stacklevel=2
+        )
     value = 4.0 * sinpi(s) / math.pi * total
     return require_finite(value, "mellin_remainder_tau_i")
 
@@ -764,15 +733,11 @@ def theta_mellin_check(
 
     def below(tv: np.ndarray) -> np.ndarray:
         vals = np.array([heat_kernel(1.0 / ti, t, prec) - 1.0 for ti in tv])
-        if s.imag == 0.0:
-            return vals * tv ** (s.real - 2.0)
-        return vals * np.exp((s - 2.0) * np.log(tv))
+        return vals * cpow(tv, s - 2.0)
 
     def above(tv: np.ndarray) -> np.ndarray:
         vals = np.array([heat_kernel(ti, t, prec) - 1.0 for ti in tv])
-        if s.imag == 0.0:
-            return vals * tv ** (s.real - 1.0)
-        return vals * np.exp((s - 1.0) * np.log(tv))
+        return vals * cpow(tv, s - 1.0)
 
     t_hi = 50.0 * t.tau2 / (math.pi * _min_lattice_norm(t))
     mellin = (

@@ -141,6 +141,17 @@ def test_det_operator_bad_potential_usage(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "potential",
+    ["(" * 2000 + "x" + ")" * 2000, "+".join(["x"] * 3000)],
+    ids=["nested_parentheses", "long_sum"],
+)
+def test_det_operator_too_deep_potential_usage(capsys, potential):
+    code, _, err = run(capsys, "det", "operator", "--potential", potential)
+    assert code == EXIT_USAGE
+    assert "nests deeper than" in err
+
+
 # ------------------------------------------------------------- identities
 
 
@@ -166,11 +177,10 @@ def test_identities_csv(capsys):
     assert len(lines) == 6
 
 
-def test_identities_json_deterministic_across_runs_and_threads(capsys, monkeypatch):
+def test_identities_json_deterministic_across_runs(capsys):
     filt = ["identities", "--filter", "eta", "--format", "json"]
     code1, out1, _ = run(capsys, *filt)
     code2, out2, _ = run(capsys, *filt)
-    monkeypatch.setenv("TORUSZETA_THREADS", "4")
     code3, out3, _ = run(capsys, *filt)
     assert code1 == code2 == code3 == EXIT_OK
     assert out1 == out2 == out3

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from toruszeta.domain import Precision
-from toruszeta.errors import DomainError, SpectrumError, ZeroModeError
+from toruszeta.errors import DomainError, PoleError, SpectrumError, ZeroModeError
 from toruszeta.operator1d import (
     OperatorSpec,
     log_det,
@@ -81,6 +81,12 @@ def test_zeta_domain_windows():
     bumpy = OperatorSpec(lambda x: 1.0 + x, "affine")
     with pytest.raises(DomainError):
         zeta_operator(bumpy, -0.75)
+
+
+def test_zeta_pole_at_half():
+    for spec in (free_spec(), OperatorSpec(lambda x: 1.0 + x, "affine")):
+        with pytest.raises(PoleError):
+            zeta_operator(spec, 0.5)
 
 
 def test_zeta_asymptotic_part_derivative_is_minus_one():

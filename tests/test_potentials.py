@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from toruszeta.potentials import PotentialParseError, parse_potential
+from toruszeta.potentials import MAX_DEPTH, PotentialParseError, parse_potential
 
 
 def test_constants():
@@ -39,4 +39,15 @@ def test_precedence():
 def test_parse_errors():
     for bad in ("", "x+", "(x", "x)", "foo(x)", "1 2", "x**2", "y"):
         with pytest.raises(PotentialParseError):
+            parse_potential(bad)
+
+
+def test_depth_limit():
+    nested = "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH
+    assert parse_potential(nested)(0.25) == 0.25
+    chain = "+".join(["x"] * MAX_DEPTH)  # MAX_DEPTH - 1 sums above a leaf
+    assert parse_potential(chain)(0.5) == MAX_DEPTH / 2
+    assert parse_potential("-" * 3001 + "x")(0.5) == -0.5  # a sign run is one node
+    for bad in ("(" + nested + ")", chain + "+x+x"):
+        with pytest.raises(PotentialParseError, match="nests deeper than"):
             parse_potential(bad)

@@ -232,6 +232,35 @@ def test_remainder_double_sum_identity():
     assert abs(double - single) < 1e-13
 
 
+def test_remainder_bessel_matches_mpmath_series():
+    # the same series summed independently in 30-digit arithmetic, with
+    # mpmath's complex-order K_nu and divisors by trial division
+    mp = pytest.importorskip("mpmath")
+
+    def q_mp(s: complex, tau: complex, n_terms: int = 60) -> complex:
+        with mp.workdps(30):
+            ms, t1, t2 = mp.mpc(s), mp.mpf(tau.real), mp.mpf(tau.imag)
+            total = mp.mpc(0)
+            for n in range(1, n_terms + 1):
+                sig = sum(mp.mpf(d) ** (1 - 2 * ms) for d in range(1, n + 1) if n % d == 0)
+                total += (
+                    sig
+                    * mp.cos(2 * mp.pi * n * t1)
+                    * mp.besselk(0.5 - ms, 2 * mp.pi * n * t2)
+                    * mp.mpf(n) ** (ms - 0.5)
+                )
+            return complex(8 * mp.pi**ms * mp.sqrt(t2) * total / mp.gamma(ms))
+
+    for s, tau in (
+        (0.3 + 0.4j, 0.3 + 0.2j),
+        (-0.6 + 1.1j, 0.3 + 0.2j),
+        (1.7 - 0.5j, -0.4 + 0.35j),
+        (2.5 + 3.0j, 0.1 + 0.15j),
+    ):
+        q = q_mp(s, tau)
+        assert abs(remainder_bessel(s, tau) - q) < 1e-12 * abs(q)
+
+
 def test_remainder_integral_equals_bessel():
     assert abs(remainder_integral(0.3, 0.25 + 1.1j) - remainder_bessel(0.3, 0.25 + 1.1j)) < 1e-8
     assert abs(remainder_integral(-0.5, 1j) - remainder_bessel(-0.5, 1j)) < 1e-8
@@ -420,6 +449,22 @@ def test_remainder_fe_grid():
 
 
 # ------------------------------------------------------- Bessel-sum constants
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p: remainder_bessel(0.3, 1j, p), "divisor-Bessel series hit n_max"),
+        (lambda p: nan_yue_williams_sum(1j, p), "divisor-Bessel series hit n_max"),
+        (lambda p: lambert_q1(1j, p), "divisor-Bessel series hit n_max"),
+        (lambda p: lambert_q1(1j, p), "lambert_q1 closed form hit n_max"),
+        (lambda p: mellin_remainder_tau_i(0.3, p), "mellin_remainder_tau_i hit n_max"),
+    ],
+    ids=["remainder_bessel", "nan_yue_williams", "lambert_series", "lambert_closed", "mellin"],
+)
+def test_series_cap_warns(call, message):
+    with pytest.warns(TruncationWarning, match=message):
+        call(Precision(n_max=1))
 
 
 def test_nan_yue_williams_at_i():
