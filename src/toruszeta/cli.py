@@ -42,6 +42,9 @@ EXIT_SUITE_FAILED = 1
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 
+# Most points a `table` grid may have; the count is checked before any is built.
+MAX_GRID_POINTS = 10_000
+
 
 class UsageError(ValueError):
     pass
@@ -61,9 +64,12 @@ def parse_complex(text: str) -> complex:
         raise UsageError("empty complex literal")
     normalized = cleaned[:-1] + "j" if cleaned.endswith(("i", "I")) else cleaned
     try:
-        return complex(normalized)
+        z = complex(normalized)
     except ValueError:
         raise UsageError(f"cannot parse complex number {text!r}") from None
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise UsageError(f"complex number must be finite, got {text!r}")
+    return z
 
 
 def parse_tau(text: str) -> TauPoint:
@@ -251,8 +257,12 @@ def _parse_grid(spec_text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise UsageError(f"cannot parse grid {spec_text!r}") from None
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise UsageError(f"grid start, stop and step must be finite, got {spec_text!r}")
     if step <= 0:
         raise UsageError("grid step must be positive")
+    if (stop - start) / step >= MAX_GRID_POINTS:
+        raise UsageError(f"grid {spec_text!r} has more than {MAX_GRID_POINTS} points")
     values = []
     k = 0
     while True:
@@ -273,6 +283,8 @@ def _tau_list(args: argparse.Namespace) -> list[TauPoint]:
             raise UsageError("tau grid must be arc:N") from None
         if kind != "arc" or n < 0:
             raise UsageError("supported tau grid: arc:N (unit-circle boundary arc)")
+        if n > MAX_GRID_POINTS:
+            raise UsageError(f"tau grid has more than {MAX_GRID_POINTS} points")
         # boundary arc of the fundamental domain: tau = e^(i theta),
         # theta from 60 to 120 degrees
         return [

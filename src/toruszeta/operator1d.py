@@ -16,11 +16,17 @@ numerically:
 
 with g(t) = log u_(-t)(1) and h(t) = log[u_(-t)(1) * 2 sqrt t e^(-sqrt t)].
 In particular zeta(0) = -1/2 always and zeta'(0) = -log(2 u_0(1)).
+
+u_(-t)(1) comes for all quadrature nodes at once from a sixth-order Magnus
+propagator (``transfer``), which also carries (u_(-t)(1) - u_0(1))/t, so the
+head integrand is formed without cancellation.  ``shooting_solution`` (scipy
+DOP853) serves complex lambda and is the reference the propagator is tested on.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -36,12 +42,14 @@ from .domain import (
 )
 from .errors import (
     DomainError,
+    NonFiniteError,
     OdeToleranceError,
     PoleError,
     SpectrumError,
+    TruncationWarning,
     ZeroModeError,
 )
-from .quadrature import adaptive_gauss, gauss_panel, tanh_sinh
+from .quadrature import _leggauss, adaptive_gauss, tanh_sinh
 from .specialfn import cospi, cpow, gamma, riemann_zeta, rgamma, sinpi
 
 _SAMPLE_POINTS = np.linspace(0.0, 1.0, 101)
@@ -56,10 +64,8 @@ class OperatorSpec:
 
     potential: Callable[[float], float]
     label: str = ""
-    _cache: dict[float, complex] = field(default_factory=dict, repr=False)
     _is_free: bool = field(default=False, repr=False)
     _mean_v: float = field(default=0.0, repr=False)
-    _gp0: float | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         samples = np.array([float(self.potential(x)) for x in _SAMPLE_POINTS])
@@ -80,85 +86,144 @@ class IvpSolution:
 def shooting_solution(
     spec: OperatorSpec, lam: complex, prec: Precision = DEFAULT_PRECISION
 ) -> IvpSolution:
-    """Solve (O - lambda) u = 0 with u(0) = 0, u'(0) = 1 and return u(1), u'(1)."""
+    """Solve (O - lambda) u = 0 with u(0) = 0, u'(0) = 1 by scipy's DOP853, in
+    complex arithmetic, and return u(1), u'(1)."""
     lam = complex(lam)
-    rtol = max(1e-13, 0.01 * prec.quad_rel_tol)
     v = spec.potential
-
-    if lam.imag == 0.0:
-        lam_r = lam.real
-
-        def rhs(x: float, y: np.ndarray) -> np.ndarray:
-            return np.array([y[1], (v(x) - lam_r) * y[0]])
-
-        y0 = np.array([0.0, 1.0])
-    else:
-
-        def rhs(x: float, y: np.ndarray) -> np.ndarray:
-            return np.array([y[1], (v(x) - lam) * y[0]])
-
-        y0 = np.array([0.0 + 0.0j, 1.0 + 0.0j])
-
     sol = _scipy_solve_ivp(
-        rhs, (0.0, 1.0), y0, method="DOP853", rtol=rtol, atol=1e-14, dense_output=False
+        lambda x, y: np.array([y[1], (v(x) - lam) * y[0]]),
+        (0.0, 1.0),
+        np.array([0.0j, 1.0 + 0.0j]),
+        method="DOP853",
+        rtol=max(1e-13, 0.01 * prec.quad_rel_tol),
+        atol=1e-14,
     )
     if not sol.success:
         raise OdeToleranceError(f"IVP integration failed: {sol.message}")
     return IvpSolution(lam, complex(sol.y[0, -1]), complex(sol.y[1, -1]))
 
 
-def _log_u_minus(spec: OperatorSpec, lam: float, prec: Precision) -> float:
-    """g(lam) = log u_(-lam)(1) for lam >= 0, memoized on the operator record."""
-    cached = spec._cache.get(lam)
-    if cached is None:
-        cached = shooting_solution(spec, -lam, prec).u_at_1
-        spec._cache[lam] = cached
-    u = cached.real
-    if not u > 0.0:
-        raise SpectrumError(
-            f"u at lambda = {-lam} is {u}; the operator has a nonpositive eigenvalue"
-        )
-    return math.log(u)
-
-
-def _g_prime_at_zero(spec: OperatorSpec, prec: Precision) -> float:
-    """g'(0) = d/dt log u_(-t)(1) at t = 0, from the variational system
-    v'' = V v - u alongside u'' = V u (exact sensitivity; no numerical
-    differentiation of the shooting solution)."""
-    if spec._gp0 is not None:
-        return spec._gp0
-    v_pot = spec.potential
-
-    def rhs(x: float, y: np.ndarray) -> np.ndarray:
-        vx = v_pot(x)
-        return np.array([y[1], vx * y[0], y[3], vx * y[2] - y[0]])
-
-    sol = _scipy_solve_ivp(
-        rhs,
-        (0.0, 1.0),
-        np.array([0.0, 1.0, 0.0, 0.0]),
-        method="DOP853",
-        rtol=1e-13,
-        atol=1e-14,
-    )
-    if not sol.success:
-        raise OdeToleranceError(f"variational IVP failed: {sol.message}")
-    u1, v1 = sol.y[0, -1], sol.y[2, -1]
-    # u_(-t) has d/dt = -d/dlambda, and v = du/dlambda
-    spec._gp0 = float(-v1 / u1)
-    return spec._gp0
-
-
-def _h_subtracted(spec: OperatorSpec, lam: float, prec: Precision) -> float:
-    """h(lam) = log[u_(-lam)(1) * 2 sqrt(lam) * e^(-sqrt(lam))]."""
-    root = math.sqrt(lam)
-    if spec._is_free:
-        # exact for V = 0: u = sinh(root)/root, so h = log(1 - e^(-2 root))
-        return math.log1p(-math.exp(-2.0 * root))
-    return _log_u_minus(spec, lam, prec) + math.log(2.0 * root) - root
-
-
+_GAUSS3 = math.sqrt(15.0) / 10.0  # the outer 3-point Gauss nodes sit at 1/2 -+ this
+_CHUNK = 2**12  # t values x steps propagated at once; keeps the peak memory flat
 _TAIL_CUT = 400.0  # upper end of the numerically integrated lambda range
+
+
+def _magnus_steps(v: Callable[[float], float], n: int) -> tuple[np.ndarray, ...]:
+    """Sixth-order Magnus exponents of y' = [[0, 1], [V + t, 0]] y over n equal
+    steps, from V at three Gauss points per step (Blanes, Casas, Oteo and Ros,
+    Phys. Rep. 470 (2009) 151).  All commutators of such matrices are traceless
+    and a step's exponent is [[a, b], [c, -a]], with a and c linear in t and b
+    constant; returns a, b, c at t = 0 and da/dt, dc/dt."""
+    h = 1.0 / n
+    mid = (np.arange(n) + 0.5) * h
+    v1, v2, v3 = (np.array([float(v(x)) for x in mid + k * _GAUSS3 * h]) for k in (-1, 0, 1))
+    if not np.all(np.isfinite(v1 + v2 + v3)):
+        raise DomainError("potential must be finite on [0, 1]")
+    e2, e3 = math.sqrt(15.0) / 3.0 * h * (v3 - v1), 10.0 / 3.0 * h * (v3 - 2.0 * v2 + v1)
+    k1 = h * e2
+    # the commutator of X = [[k1, -20h], [xc, -k1]] and Y = [[y, yb], [yc, -y]]
+    y, yb = -h * e3 / 30.0, h * k1 / 30.0
+    xc, yc = -20.0 * h * v2 - e3, e2 - yb * v2
+    a = (-20.0 * h * yc - yb * xc) / 240.0
+    b = h + (k1 * yb + 20.0 * h * y) / 120.0
+    c = h * v2 + e3 / 12.0 + (xc * y - k1 * yc) / 120.0
+    return a, b, c, h * h * k1 / 180.0, h + h * (k1 * k1 / 30.0 - 20.0 * y) / 120.0
+
+
+def _horner(coef: list[float], z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p(z) and the divided difference (p(z) - p(z0))/(z - z0), z0 = z[:, :1]."""
+    p, dp = np.full_like(z, coef[-1]), np.zeros_like(z)
+    for k in reversed(coef[:-1]):
+        dp = p[:, :1] + z * dp
+        p = k + z * p
+    return p, dp
+
+
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y over the two leading axes."""
+    return x[:, :1] * y[:1] + x[:, 1:] * y[1:]
+
+
+def _propagate(steps: tuple[np.ndarray, ...], ts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """u_t(1), u_t'(1) and w_t = (u_t(1) - u_0(1))/t for each t of ts.
+
+    A step is exp(Omega) = C I + S Omega, with z = -det Omega, C = cosh sqrt z
+    and S = sinh sqrt z / sqrt z: Taylor series in the small z, whose divided
+    differences in t are exact sums.  The steps of every t, and of t = 0 in
+    column 0, are multiplied pairwise as I + N, so that no rounding of
+    1 + small builds up, together with the divided difference D of the
+    product: D(AB) = A_t D(B) + D(A) B_0."""
+    a0, b, c0, da, dc = (x[:, None] for x in steps)  # steps down, t across
+    t = np.concatenate(([0.0], ts))
+    at, ct = a0 + t * da, c0 + t * dc
+    z = at * at + b * ct
+    dz = (at + a0) * da + b * dc  # (z - z[:, :1])/t
+    zmax, terms = np.max(np.abs(z)), 1  # enough terms that the next is below 1e-17
+    while zmax**terms / math.factorial(2 * terms + 2) > 1e-17:
+        terms += 1
+    # C - 1 = z cz and S - 1 = z sz
+    cz, dcz = _horner([1.0 / math.factorial(2 * k + 2) for k in range(terms)], z)
+    sz, dsz = _horner([1.0 / math.factorial(2 * k + 3) for k in range(terms)], z)
+    s = 1.0 + z * sz
+    dcos, dsin = (cz + z[:, :1] * dcz) * dz, (sz + z[:, :1] * dsz) * dz
+    nt = np.array([[z * cz + s * at, s * b], [s * ct, z * cz - s * at]])
+    dd = dsin * a0 + s * da
+    d = np.array([[dcos + dd, dsin * b], [dsin * c0 + s * dc, dcos - dd]])
+    while nt.shape[2] > 1:
+        late, early, dl, de = nt[:, :, 1::2], nt[:, :, ::2], d[:, :, 1::2], d[:, :, ::2]
+        d = dl + de + _mul(late, de) + _mul(dl, early[..., :1])
+        nt = late + early + _mul(late, early)
+    return nt[0, 1, 0, 1:], 1.0 + nt[1, 1, 0, 1:], d[0, 1, 0, 1:]
+
+
+def _propagator(
+    spec: OperatorSpec, prec: Precision
+) -> Callable[[np.ndarray], tuple[np.ndarray, ...]]:
+    """ts -> _propagate(steps, ts) with V sampled once.  The step count doubles
+    from 16 until u(1) at n and 2n steps agree, at t = 0 and t = _TAIL_CUT, to
+    the quadrature tolerance relative to |u| + |u'|/sqrt(1 + t), which stays
+    finite at a zero mode; n is capped at prec.n_max."""
+    tol = max(1e-13, 0.1 * prec.quad_rel_tol)
+    probes = np.array([0.0, _TAIL_CUT])
+    n = min(16, 1 << (prec.n_max.bit_length() - 1))
+    steps = _magnus_steps(spec.potential, n)
+    u = _propagate(steps, probes)[0]
+    if not np.all(np.isfinite(u)):
+        raise NonFiniteError("u(1) overflows double precision")
+    while 2 * n <= prec.n_max:
+        finer = _magnus_steps(spec.potential, 2 * n)
+        u2, du2, _ = _propagate(finer, probes)
+        if np.max(np.abs(u - u2) / (np.abs(u2) + np.abs(du2) / np.sqrt(1.0 + probes))) <= tol:
+            break
+        n, steps, u = 2 * n, finer, u2
+    else:
+        warnings.warn(f"Magnus step count hit n_max = {prec.n_max}", TruncationWarning, 3)
+    width = max(1, _CHUNK // n)
+
+    def propagate(ts: np.ndarray) -> tuple[np.ndarray, ...]:
+        parts = [_propagate(steps, ts[i : i + width]) for i in range(0, ts.size, width)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
+    return propagate
+
+
+def transfer(
+    spec: OperatorSpec, ts: np.ndarray, prec: Precision = DEFAULT_PRECISION
+) -> tuple[np.ndarray, np.ndarray]:
+    """u_t(1) and w_t = (u_t(1) - u_0(1))/t, w_0 = d u_t(1)/dt at 0, for each t
+    of ts, where u'' = (V + t) u, u(0) = 0, u'(0) = 1: lambda = -t.  The step
+    count is fitted to 0 <= t <= _TAIL_CUT, the range zeta_operator uses."""
+    u, _, w = _propagator(spec, prec)(np.asarray(ts, dtype=float).ravel())
+    return u, w
+
+
+def _require_positive(u: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    if not np.all(u > 0.0):
+        i = np.argmin(u > 0.0)
+        raise SpectrumError(
+            f"u at lambda = {-ts[i]} is {u[i]}; the operator has a nonpositive eigenvalue"
+        )
+    return u
 
 
 def zeta_operator(
@@ -185,49 +250,49 @@ def zeta_operator(
         return EvalResult(-0.5 + 0.0j, 1e-15, "contour", diag)
     asy = sinpi(s) / (2.0 * math.pi) * (1.0 / (s - 0.5) - 1.0 / s)
 
-    g0 = _log_u_minus(spec, 0.0, prec)
-    g1 = _log_u_minus(spec, 1.0, prec)
-    h1 = _h_subtracted(spec, 1.0, prec)
-    constant = g1 - g0 - h1
+    propagate = _propagator(spec, prec)
+    zero = np.zeros(1)
+    u0 = float(_require_positive(propagate(zero)[0], zero)[0])
+    # g(1) - g(0) - h(1), where h(1) = g(1) + log 2 - 1
+    constant = 1.0 - math.log(2.0 * u0)
 
     tol = max(1e-13, 0.1 * prec.quad_rel_tol)
 
-    gp0 = _g_prime_at_zero(spec, prec)
-
     def head(ts: np.ndarray) -> np.ndarray:
-        # (g(t) - g0)/t stays bounded at 0, leaving only the t^(-s) weight.
-        # Below t0 the quotient is replaced by its exact limit g'(0): the
-        # curvature error is O(t0), while the raw quotient would amplify the
-        # solver's ulp-level noise by t^(-1).
-        vals = np.full(ts.shape, gp0)
-        big = ts >= 1e-8
-        if np.any(big):
-            raw = np.array([_log_u_minus(spec, float(t), prec) for t in ts[big]])
-            vals[big] = (raw - g0) / ts[big]
-        return vals * cpow(ts, -s)
+        # (g(t) - g0)/t = log1p(r)/t with r = t w_t/u0 = u_t/u0 - 1, formed
+        # from the carried w_t, so nothing of size t^(-1) is cancelled
+        u, _, w = propagate(ts)
+        _require_positive(u, ts)
+        r = ts * w / u0
+        ratio = np.divide(np.log1p(r), r, out=np.ones_like(r), where=r != 0.0)
+        return w / u0 * ratio * cpow(ts, -s)
 
     def tail(ts: np.ndarray) -> np.ndarray:
-        vals = np.array([_h_subtracted(spec, float(t), prec) for t in ts])
+        root = np.sqrt(ts)
+        if spec._is_free:
+            # exact for V = 0: u = sinh(root)/root, so h = log(1 - e^(-2 root))
+            vals = np.log1p(-np.exp(-2.0 * root))
+        else:
+            u = _require_positive(propagate(ts)[0], ts)
+            vals = np.log(u) + np.log(2.0 * root) - root
         return vals * cpow(ts, -s - 1.0)
 
     head_q = tanh_sinh(head, 0.0, 1.0, tol=tol, max_level=8)
-    # geometric panels keep the node set fixed across s, so ODE solves are shared
-    lo = 1.0
-    tail_val = 0.0 + 0.0j
-    tail_err = 0.0
-    while lo < _TAIL_CUT:
-        hi = min(2.0 * lo, _TAIL_CUT)
-        coarse = gauss_panel(tail, lo, hi, n=24)
-        fine = gauss_panel(tail, lo, hi, n=32)
-        tail_val += fine
-        tail_err += abs(fine - coarse)
-        lo = hi
+    # 24- and 32-point Gauss rules on the panels [1, 2], [2, 4], ..., [256, 400],
+    # all nodes of a rule in one batch
+    edges = np.minimum(2.0 ** np.arange(10), _TAIL_CUT)
+    mid, half = (edges[1:] + edges[:-1])[:, None] / 2.0, (edges[1:] - edges[:-1])[:, None] / 2.0
+    coarse, fine = (
+        np.sum(half * w * tail((mid + half * x).ravel()).reshape(mid.size, -1), axis=1)
+        for x, w in map(_leggauss, (24, 32))
+    )
+    tail_val, tail_err = complex(np.sum(fine)), float(np.sum(np.abs(fine - coarse)))
+    diag.quad_evals = head_q.n_evals + (24 + 32) * mid.size
     if not spec._is_free:
         # analytic continuation of the neglected tail: h ~ (mean V / 2) t^(-1/2)
         tail_val += 0.5 * spec._mean_v * _TAIL_CUT ** (-s - 0.5) / (s + 0.5)
 
     integrals = head_q.value + tail_val
-    diag.quad_evals = head_q.n_evals
     value = asy + sinpi(s) / math.pi * (constant + s * integrals)
     err = abs(sinpi(s) / math.pi) * (abs(s) * (head_q.err_estimate + tail_err) + 1e-13)
     return EvalResult(require_finite(value, "zeta_operator"), err, "contour", diag)
@@ -235,7 +300,7 @@ def zeta_operator(
 
 def log_det(spec: OperatorSpec, prec: Precision = DEFAULT_PRECISION) -> float:
     """-zeta'(0) = log(2 u_0(1)); det O = 2 u_0(1)."""
-    u0 = shooting_solution(spec, 0.0, prec).u_at_1.real
+    u0 = float(transfer(spec, [0.0], prec)[0][0])
     if abs(u0) < 1e-9:
         raise ZeroModeError("u_0(1) vanishes; the operator has a zero mode")
     if u0 < 0.0:

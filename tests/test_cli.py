@@ -8,6 +8,8 @@ from toruszeta.cli import (
     EXIT_OK,
     EXIT_SUITE_FAILED,
     EXIT_USAGE,
+    MAX_GRID_POINTS,
+    _parse_grid,
     main,
     parse_complex,
     parse_tau,
@@ -54,6 +56,9 @@ def test_parse_complex_rejects_garbage():
         parse_complex("two")
     with pytest.raises(UsageError):
         parse_complex("")
+    for text in ("nan", "inf", "1+nani", "-infi"):
+        with pytest.raises(UsageError):
+            parse_complex(text)
 
 
 def test_parse_tau_requires_upper_half_plane():
@@ -103,6 +108,18 @@ def test_eval_missing_argument_is_usage_error(capsys):
     code, _, err = run(capsys, "eval", "--what", "eisenstein", "--s", "2")
     assert code == EXIT_USAGE
     assert "requires" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--what", "zeta-p", "--s", "nan"],
+    ["eval", "--what", "zeta-p", "--s", "inf"],
+    ["eval", "--what", "eisenstein", "--s", "2", "--tau", "nan+1i"],
+    ["eval", "--what", "eisenstein", "--s=-inf", "--tau", "0+1i"],
+])
+def test_eval_nonfinite_number_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert "finite" in err and out == ""
 
 
 def test_unknown_what_is_usage_error(capsys):
@@ -230,6 +247,28 @@ def test_table_json_bytes_stable(capsys):
     assert out1 == out2
     doc = json.loads(out1)
     assert doc["schema"] == 1 and len(doc["rows"]) == 3
+
+
+@pytest.mark.parametrize("grid", [
+    "0:1e9:1e-9", "-1e308:1e308:1", "nan:1:0.1", "0:inf:0.1", "0:1:nan", "0:1:inf",
+])
+def test_table_huge_or_nonfinite_grid_usage_error(capsys, grid):
+    # rejected from start, stop and step alone: not one grid point is built
+    code, out, err = run(capsys, "table", "--s-grid", grid, "--tau", "0+1i", "--columns", "cs")
+    assert code == EXIT_USAGE
+    assert "grid" in err and out == ""
+
+
+def test_table_grid_point_cap():
+    assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+    with pytest.raises(UsageError):
+        _parse_grid(f"0:{MAX_GRID_POINTS}:1")
+
+
+def test_table_huge_tau_arc_usage_error(capsys):
+    code, _, err = run(capsys, "table", "--tau-grid", "arc:1000000000", "--columns", "det")
+    assert code == EXIT_USAGE
+    assert "grid" in err
 
 
 def test_table_unknown_column_usage_error(capsys):

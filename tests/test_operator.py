@@ -1,16 +1,27 @@
 import cmath
 import math
+import warnings
 
+import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from toruszeta import operator1d
 from toruszeta.domain import Precision
-from toruszeta.errors import DomainError, PoleError, SpectrumError, ZeroModeError
+from toruszeta.errors import (
+    DomainError,
+    PoleError,
+    SpectrumError,
+    TruncationWarning,
+    ZeroModeError,
+)
 from toruszeta.operator1d import (
     OperatorSpec,
     log_det,
     log_det_numeric,
     mellin_gamma_zeta_check,
     shooting_solution,
+    transfer,
     zeta_operator,
     zeta_p,
     zeta_p_functional_equation,
@@ -47,6 +58,83 @@ def test_ivp_complex_lambda():
     sol = shooting_solution(free_spec(), lam)
     root = cmath.sqrt(lam)
     assert abs(sol.u_at_1 - cmath.sin(root) / root) < 1e-11
+
+
+# --------------------------------------------------- batched propagator
+
+# one or two of each family, negative amplitudes included
+FAMILIES = {
+    "const-8": lambda x: -8.0,
+    "const4": lambda x: 4.0,
+    "poly": lambda x: -3.0 * x * x + 2.0 * x - 1.0,
+    "sin": lambda x: -4.0 * math.sin(3.0 * x + 3.0),
+    "sin2": lambda x: 2.0 * math.sin(2.1 * x + 1.0),
+    "exp": lambda x: 1.1 * math.exp(0.9 * x),
+    "exp-2": lambda x: -2.0 * math.exp(1.5 * x),
+}
+T_NODES = np.array([0.0, 1e-10, 1e-4, 0.3, 1.0, 7.0, 50.0, 200.0, 400.0])
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_transfer_matches_dop853(name):
+    spec = OperatorSpec(FAMILIES[name], name)
+    u, w = transfer(spec, T_NODES)
+    oracle = np.array([shooting_solution(spec, -t).u_at_1.real for t in T_NODES])
+    assert np.max(np.abs(np.log(u) - np.log(oracle))) < 1e-11
+    # away from t = 0 the oracle's own divided difference is accurate
+    moderate = slice(3, 6)
+    want = (oracle[moderate] - oracle[0]) / T_NODES[moderate]
+    assert np.max(np.abs(w[moderate] / want - 1.0)) < 1e-10
+    # and w is the divided difference of the propagator's own u, to rounding
+    own = (u[moderate] - u[0]) / T_NODES[moderate]
+    assert np.max(np.abs(w[moderate] / own - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_transfer_slope_at_zero_matches_variational_system(name):
+    # v = du/dlambda solves v'' = V v - u, v(0) = v'(0) = 0; d/dt = -d/dlambda
+    v_pot = FAMILIES[name]
+    sol = solve_ivp(
+        lambda x, y: [y[1], v_pot(x) * y[0], y[3], v_pot(x) * y[2] - y[0]],
+        (0.0, 1.0), [0.0, 1.0, 0.0, 0.0], method="DOP853", rtol=1e-13, atol=1e-14,
+    )
+    u, w = transfer(OperatorSpec(v_pot, name), [0.0, 1e-10])
+    assert abs(u[0] - sol.y[0, -1]) < 1e-11 * abs(u[0])
+    assert abs(w[0] + sol.y[2, -1]) < 1e-10 * abs(w[0])
+    assert abs(w[1] / w[0] - 1.0) < 1e-8
+
+
+def test_transfer_step_cap_warns():
+    spec = OperatorSpec(FAMILIES["sin"], "sin")
+    with pytest.warns(TruncationWarning, match="Magnus step count hit n_max"):
+        transfer(spec, [0.0], Precision(n_max=20))
+
+
+def test_zeta_call_order_independent():
+    # a loose call on a spec must not change a later default-precision call
+    spec = OperatorSpec(FAMILIES["sin2"], "sin2")
+    zeta_operator(spec, 0.3, Precision(quad_rel_tol=1e-4))
+    fresh = OperatorSpec(FAMILIES["sin2"], "sin2")
+    assert zeta_operator(spec, 0.3).value == zeta_operator(fresh, 0.3).value
+
+
+def test_zeta_free_converges_and_counts_every_node(monkeypatch):
+    heads = []
+
+    def traced_tanh_sinh(*args, **kwargs):
+        heads.append(tanh_sinh(*args, **kwargs))
+        return heads[-1]
+
+    monkeypatch.setattr(operator1d, "tanh_sinh", traced_tanh_sinh)
+    for s in (0.7, 0.95):
+        heads.clear()
+        got = zeta_operator(free_spec(), s)
+        want = math.pi ** (-2.0 * s) * riemann_zeta(2.0 * s).real
+        assert abs(got.value - want) < 1e-12
+        (head,) = heads
+        assert head.err_estimate <= 1e-13 * max(1.0, abs(head.value))  # not the level cap
+        # the tail: 24 + 32 Gauss nodes on each of [1, 2], [2, 4], ..., [256, 400]
+        assert got.diagnostics.quad_evals == head.n_evals + 9 * (24 + 32)
 
 
 def test_operator_spec_rejects_nonfinite_potential():
@@ -135,16 +223,28 @@ def test_det_numeric_cross_check_free():
 
 
 def test_zero_mode_rejected():
-    # V = -pi^2 puts the first Dirichlet eigenvalue exactly at zero
+    # V = -pi^2 puts the first Dirichlet eigenvalue exactly at zero; the step
+    # count still converges, so no TruncationWarning comes first
     spec = OperatorSpec(lambda x: -math.pi**2, "zero-mode")
-    with pytest.raises(ZeroModeError):
-        log_det(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ZeroModeError):
+            log_det(spec)
 
 
 def test_negative_spectrum_rejected():
     spec = OperatorSpec(lambda x: -(math.pi**2) - 5.0, "negative")
     with pytest.raises((SpectrumError, ZeroModeError)):
         log_det(spec)
+
+
+def test_zeta_rejects_negative_spectrum():
+    # one negative eigenvalue makes u_0(1) < 0; two leave u_0(1) > 0, and u
+    # changes sign on the integrated range instead
+    for shift in (math.pi**2 + 5.0, 4.0 * math.pi**2 + 5.0):
+        spec = OperatorSpec(lambda x, c=-shift: c, "negative")
+        with pytest.raises(SpectrumError):
+            zeta_operator(spec, 0.3)
 
 
 # ----------------------------------------------------- zeta_P worked example
