@@ -4,7 +4,6 @@ complex tori, plus an argument-principle determinant engine for 1D operators."""
 from .domain import (
     DEFAULT_PRECISION,
     Diagnostics,
-    Eigenvalue,
     EvalResult,
     Precision,
     Sl2zMatrix,
@@ -50,7 +49,6 @@ from .torus import (
     ContourIntegrandParams,
     determinant_torus,
     determinant_torus_numeric,
-    eigenvalues,
     eisenstein,
     eisenstein_cs,
     eisenstein_contour,

@@ -97,12 +97,15 @@ def _json(obj: dict[str, Any]) -> str:
 
 
 def _precision_from(args: argparse.Namespace) -> Precision:
-    return Precision(
-        quad_rel_tol=args.tol_quad,
-        series_tail_tol=args.tol_tail,
-        n_max=args.n_max,
-        diff_step=args.diff_step,
-    )
+    try:
+        return Precision(
+            quad_rel_tol=args.tol_quad,
+            series_tail_tol=args.tol_tail,
+            n_max=args.n_max,
+            diff_step=args.diff_step,
+        )
+    except DomainError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _add_precision_flags(p: argparse.ArgumentParser) -> None:

@@ -1,5 +1,5 @@
 """Domain types: evaluation precision, points of the upper half-plane,
-integer modular matrices, eigenvalue records and evaluation results."""
+integer modular matrices and evaluation results."""
 
 from __future__ import annotations
 
@@ -13,11 +13,13 @@ from .errors import DomainError, NonFiniteError, NormalizationError
 class Precision:
     """Knobs controlling truncation and quadrature everywhere.
 
-    quad_rel_tol    relative tolerance for adaptive quadrature
-    series_tail_tol absolute bound at which exponentially convergent series stop
+    quad_rel_tol    relative tolerance for adaptive quadrature, in (0, 1)
+    series_tail_tol absolute bound at which exponentially convergent series
+                    stop, in (0, 1)
     n_max           hard cap on summation indices (a TruncationWarning is issued
                     whenever the cap is what actually stopped a sum)
-    diff_step       step used for numerical differentiation in s
+    diff_step       step used for numerical differentiation in s, positive and
+                    finite
     """
 
     quad_rel_tol: float = 1e-12
@@ -26,14 +28,13 @@ class Precision:
     diff_step: float = 1e-5
 
     def __post_init__(self) -> None:
-        if not (self.quad_rel_tol > 0):
-            raise DomainError("quad_rel_tol must be positive")
-        if not (self.series_tail_tol > 0):
-            raise DomainError("series_tail_tol must be positive")
+        for name in ("quad_rel_tol", "series_tail_tol"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise DomainError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
         if self.n_max < 1:
             raise DomainError("n_max must be at least 1")
-        if not (self.diff_step > 0):
-            raise DomainError("diff_step must be positive")
+        if not 0.0 < self.diff_step < math.inf:
+            raise DomainError(f"diff_step must be positive and finite, got {self.diff_step}")
 
 
 DEFAULT_PRECISION = Precision()
@@ -131,21 +132,6 @@ class Sl2zMatrix:
     def cocycle(self, tau: "TauPoint | complex") -> complex:
         """c*tau + d, the automorphy denominator."""
         return self.c * as_tau(tau).z + self.d
-
-
-@dataclass(frozen=True)
-class Eigenvalue:
-    """Doubly indexed torus eigenvalue lambda^2 = (2 pi / tau2)^2 |m + n tau|^2."""
-
-    m: int
-    n: int
-    lambda_sq: float
-
-    def __post_init__(self) -> None:
-        if (self.m, self.n) == (0, 0):
-            raise DomainError("(m, n) = (0, 0) is excluded")
-        if not self.lambda_sq > 0:
-            raise DomainError("lambda_sq must be positive")
 
 
 @dataclass

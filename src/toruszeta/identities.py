@@ -26,6 +26,7 @@ from .operator1d import (
     zeta_operator,
     zeta_p_functional_equation,
 )
+from .quadrature import central_derivative
 from .specialfn import bessel_k, gamma, lambert_series, riemann_zeta, sigma, sinpi
 from .torus import (
     determinant_torus,
@@ -434,8 +435,7 @@ def registry() -> list[IdentityCheck]:
         "zeta_R'(0) = -log(2 pi)/2 (central difference)",
         1e-9, False,
         lambda prec: (
-            (riemann_zeta(prec.diff_step) - riemann_zeta(-prec.diff_step))
-            / (2.0 * prec.diff_step),
+            central_derivative(riemann_zeta, 0.0, prec.diff_step, levels=1),
             complex(-0.5 * math.log(2.0 * math.pi)),
         ),
     ))

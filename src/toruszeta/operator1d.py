@@ -49,7 +49,7 @@ from .errors import (
     TruncationWarning,
     ZeroModeError,
 )
-from .quadrature import _leggauss, adaptive_gauss, tanh_sinh
+from .quadrature import _leggauss, adaptive_gauss, central_derivative, tanh_sinh
 from .specialfn import cospi, cpow, gamma, riemann_zeta, rgamma, sinpi
 
 _SAMPLE_POINTS = np.linspace(0.0, 1.0, 101)
@@ -72,8 +72,9 @@ class OperatorSpec:
         if not np.all(np.isfinite(samples)):
             raise DomainError("potential must be finite on [0, 1]")
         self._is_free = bool(np.all(samples == 0.0))
-        # trapezoid average, used for the analytic quadrature tail
-        self._mean_v = float(np.trapezoid(samples, _SAMPLE_POINTS))
+        # Gauss-Legendre mean of V, used for the analytic quadrature tail
+        x, w = _leggauss(32)
+        self._mean_v = 0.5 * float(np.dot(w, [float(self.potential(0.5 + 0.5 * xi)) for xi in x]))
 
 
 @dataclass(frozen=True)
@@ -310,16 +311,9 @@ def log_det(spec: OperatorSpec, prec: Precision = DEFAULT_PRECISION) -> float:
 
 def log_det_numeric(spec: OperatorSpec, prec: Precision = DEFAULT_PRECISION) -> float:
     """-zeta'(0) by central differencing of zeta_operator, for cross-checks."""
-    h = prec.diff_step
-
-    def deriv(step: float) -> float:
-        zp = zeta_operator(spec, complex(step, 0.0), prec).value.real
-        zm = zeta_operator(spec, complex(-step, 0.0), prec).value.real
-        return (zp - zm) / (2.0 * step)
-
-    d1 = deriv(h)
-    d2 = deriv(0.5 * h)
-    return -(4.0 * d2 - d1) / 3.0
+    return -central_derivative(
+        lambda sv: zeta_operator(spec, complex(sv, 0.0), prec).value.real, 0.0, prec.diff_step
+    )
 
 
 def zeta_p(s: complex) -> complex:
@@ -359,7 +353,7 @@ def zeta_p_functional_equation(
         # zeta(1-u) has a trivial zero at 1-u = -(k-1); take the limit of
         # zeta(1-u)/cos(pi u/2) with zeta'(-(k-1)) from central differences
         m = (k - 1) // 2
-        zp = _zeta_derivative_at(float(1 - k))
+        zp = central_derivative(lambda x: riemann_zeta(x).real, float(1 - k), 0.02, levels=3)
         ratio = 2.0 * (-1.0) ** m * zp / math.pi
         rhs = 2.0**u * math.pi ** (u - 1.0) * (math.pi * rgamma(u) / 2.0) * ratio
         return abs(lhs - rhs)
@@ -367,21 +361,6 @@ def zeta_p_functional_equation(
     pair = math.pi * rgamma(u) / (2.0 * cospi(0.5 * u))
     rhs = 2.0**u * math.pi ** (u - 1.0) * pair * zeta_p(0.5 * (1.0 - u))
     return abs(lhs - rhs)
-
-
-def _zeta_derivative_at(x: float) -> float:
-    """zeta_R'(x) by Richardson-extrapolated central differences."""
-    h = 0.02
-
-    def central(step: float) -> float:
-        return (riemann_zeta(x + step).real - riemann_zeta(x - step).real) / (2.0 * step)
-
-    d1 = central(h)
-    d2 = central(0.5 * h)
-    d3 = central(0.25 * h)
-    r1 = (4.0 * d2 - d1) / 3.0
-    r2 = (4.0 * d3 - d2) / 3.0
-    return (16.0 * r2 - r1) / 15.0
 
 
 def mellin_gamma_zeta_check(

@@ -1,6 +1,7 @@
-"""Quadrature kernels used by every evaluator.
+"""Quadrature and extrapolation kernels used by every evaluator.
 
-Two workhorses:
+Two integrators, each warning (TruncationWarning) when its cap stops it
+before its tolerance is met:
 
 * ``adaptive_gauss`` -- globally adaptive Gauss-Legendre for smooth
   integrands, error estimated from a 15/31-point pair per panel.
@@ -8,23 +9,30 @@ Two workhorses:
   geometrically even when the integrand has an integrable algebraic
   singularity u^(-s) (complex s, Re s < 1) at an endpoint.
 
+Every numerical derivative and limit goes through ``richardson`` and the
+``central_derivative`` built on it.
+
 Integrands must accept a numpy array of abscissae and return an array
 (real or complex).  All reductions run in a fixed order so results are
-bit-reproducible across runs and thread counts.
+bit-reproducible across runs.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, TruncationWarning
 
 Integrand = Callable[[np.ndarray], np.ndarray]
+
+MAX_PANELS = 4096  # adaptive_gauss splits at most this many panels
+U_MAX = 6.5  # tanh_sinh truncates its u axis to [-U_MAX, U_MAX]
 
 
 @lru_cache(maxsize=64)
@@ -55,13 +63,12 @@ def adaptive_gauss(
     b: float,
     rel_tol: float = 1e-12,
     abs_tol: float = 0.0,
-    max_panels: int = 4096,
 ) -> QuadResult:
     """Adaptive bisection with a nested 15/31-point error estimate per panel.
 
     Panels are split until the summed error estimate meets
-    max(abs_tol, rel_tol * |integral|); accepted panels are re-summed
-    left-to-right with math.fsum for reproducibility.
+    max(abs_tol, rel_tol * |integral|), for at most MAX_PANELS splits;
+    accepted panels are re-summed left-to-right with math.fsum.
     """
     if not b > a:
         raise DomainError("adaptive_gauss requires b > a")
@@ -78,7 +85,7 @@ def adaptive_gauss(
         return fine, abs(fine - coarse)
 
     work = [(a, b, *panel(a, b))]
-    for _ in range(max_panels):
+    for _ in range(MAX_PANELS):
         total = complex(sum(p[2] for p in work))
         err = math.fsum(p[3] for p in work)
         if err <= max(abs_tol, rel_tol * abs(total)):
@@ -89,6 +96,8 @@ def adaptive_gauss(
         mid = 0.5 * (lo + hi)
         work.append((lo, mid, *panel(lo, mid)))
         work.append((mid, hi, *panel(mid, hi)))
+    else:
+        warnings.warn(f"adaptive_gauss hit MAX_PANELS = {MAX_PANELS}", TruncationWarning, 2)
 
     work.sort(key=lambda p: p[0])
     value = complex(
@@ -104,7 +113,6 @@ def tanh_sinh(
     b: float,
     tol: float = 1e-13,
     max_level: int = 12,
-    u_max: float = 6.5,
 ) -> QuadResult:
     """Double-exponential quadrature of int_a^b f.
 
@@ -112,7 +120,8 @@ def tanh_sinh(
     the weight decays doubly exponentially, which tames integrable endpoint
     singularities.  Abscissae near the endpoints are formed as offsets
     2r/(1+exp(-+2 theta)) to avoid cancellation, so f sees points that are
-    accurate *relative to the endpoint distance* when a or b is 0.
+    accurate *relative to the endpoint distance* when a or b is 0.  The step
+    halves from 1 at most max_level times.
     """
     if not b > a:
         raise DomainError("tanh_sinh requires b > a")
@@ -141,7 +150,7 @@ def tanh_sinh(
     n_evals = 0
     h = 1.0
     # level 0: trapezoid over u = k*h
-    k = np.arange(-int(u_max / h), int(u_max / h) + 1)
+    k = np.arange(-int(U_MAX / h), int(U_MAX / h) + 1)
     total = eval_level(k * h) * h
     n_evals += k.size
     prev = total
@@ -149,15 +158,38 @@ def tanh_sinh(
     for level in range(1, max_level + 1):
         h *= 0.5
         # only the new (odd) nodes
-        kmax = int(u_max / h)
+        kmax = int(U_MAX / h)
         k = np.arange(-kmax, kmax + 1)
         k = k[k % 2 != 0]
         new = eval_level(k * h)
         n_evals += k.size
         total = 0.5 * prev + h * new
         err = abs(total - prev)
-        if err <= tol * max(1.0, abs(total)) and level >= 3:
-            prev = total
-            break
         prev = total
+        if err <= tol * max(1.0, abs(total)) and level >= 3:
+            break
+    else:
+        warnings.warn(f"tanh_sinh hit max_level = {max_level}", TruncationWarning, 2)
     return QuadResult(prev, err, n_evals)
+
+
+def richardson(values: Sequence[complex], ratio: float) -> complex:
+    """Extrapolate g(h) to h = 0 from g sampled at h, h/q, h/q^2, ..., where
+    g(h) = g(0) + c1 h^p + c2 h^(2p) + ... and ratio = q^p.
+
+    Level k of the table removes the h^(kp) term:
+    (ratio^k g(h/q) - g(h)) / (ratio^k - 1)."""
+    table = list(values)
+    for level in range(1, len(table)):
+        factor = ratio**level
+        table = [(factor * b - a) / (factor - 1.0) for a, b in zip(table, table[1:])]
+    return table[0]
+
+
+def central_derivative(
+    f: Callable[[float], complex], x: float, h: float, levels: int = 2
+) -> complex:
+    """f'(x) from central differences at steps h, h/2, ..., h/2^(levels-1),
+    whose errors run in h^2, h^4, ..., Richardson-extrapolated."""
+    steps = [h * 0.5**k for k in range(levels)]
+    return richardson([(f(x + d) - f(x - d)) / (2.0 * d) for d in steps], 4.0)

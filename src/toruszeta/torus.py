@@ -27,7 +27,6 @@ import numpy as np
 from .domain import (
     DEFAULT_PRECISION,
     Diagnostics,
-    Eigenvalue,
     EvalResult,
     Precision,
     TauPoint,
@@ -36,7 +35,7 @@ from .domain import (
 )
 from .errors import DomainError, PoleError, TruncationWarning
 from .eta import eta
-from .quadrature import adaptive_gauss, tanh_sinh
+from .quadrature import adaptive_gauss, central_derivative, richardson, tanh_sinh
 from .specialfn import bessel_k, cpow, gamma, rgamma, riemann_zeta, sigma, sinpi
 
 EULER_GAMMA = 0.5772156649015328606
@@ -98,36 +97,6 @@ def _check_not_pole(s: complex) -> complex:
     if abs(s - 1.0) < _POLE_TOL:
         raise PoleError("E*(s, tau) has its pole at s = 1")
     return s
-
-
-# ----------------------------------------------------------------- eigenvalues
-
-
-def eigenvalues(tau: TauPoint | complex, bound: float) -> list[Eigenvalue]:
-    """All lambda^2_{m,n} = (2 pi / tau2)^2 |m + n tau|^2 <= bound, each (m, n)
-    listed separately (multiplicity explicit), sorted ascending."""
-    t = as_tau(tau)
-    if not bound > 0:
-        raise DomainError("bound must be positive")
-    scale = (2.0 * math.pi / t.tau2) ** 2
-    r2_max = bound / scale  # |m + n tau|^2 cutoff
-    out: list[Eigenvalue] = []
-    n_lim = int(math.floor(math.sqrt(r2_max) / t.tau2)) + 1
-    for n in range(-n_lim, n_lim + 1):
-        height = (n * t.tau2) ** 2
-        if height > r2_max:
-            continue
-        half_w = math.sqrt(r2_max - height)
-        m_lo = math.ceil(-n * t.tau1 - half_w - 1e-12)
-        m_hi = math.floor(-n * t.tau1 + half_w + 1e-12)
-        for m in range(m_lo, m_hi + 1):
-            if m == 0 and n == 0:
-                continue
-            r2 = (m + n * t.tau1) ** 2 + height
-            if r2 <= r2_max * (1.0 + 1e-15):
-                out.append(Eigenvalue(m, n, scale * r2))
-    out.sort(key=lambda e: (e.lambda_sq, e.n, e.m))
-    return out
 
 
 # ----------------------------------------------------------------- direct sum
@@ -366,18 +335,15 @@ def _eisenstein_value(
     averaging plus one Richardson step (the two series terms have cancelling
     poles there and the evaluator is even in (s - 1/2) to leading order)."""
     if abs(s - 0.5) < _HALF_WINDOW:
-        base = s - 0.5
-        h = 2e-3
 
         def avg(step: float) -> complex:
             return 0.5 * (
-                _eisenstein_regular(0.5 + base + step, t, prec, method)
-                + _eisenstein_regular(0.5 + base - step, t, prec, method)
+                _eisenstein_regular(s + step, t, prec, method)
+                + _eisenstein_regular(s - step, t, prec, method)
             )
 
-        a1 = avg(h)
-        a2 = avg(0.5 * h)
-        value = (4.0 * a2 - a1) / 3.0
+        a1, a2 = avg(2e-3), avg(1e-3)
+        value = richardson([a1, a2], 4.0)
         return value, abs(a2 - a1) / 3.0 + 1e-13 * abs(value)
     value = _eisenstein_regular(s, t, prec, method)
     return value, 1e-13 * max(1.0, abs(value))
@@ -458,18 +424,11 @@ def zeta_laplacian_deriv0_numeric(
     """Same derivative by central differencing of the contour evaluator at 0,
     with one Richardson level; cross-validates the closed form."""
     t = as_tau(tau)
-
-    def zval(sv: float) -> float:
-        return zeta_laplacian(complex(sv, 0.0), t, "contour", prec).value.real
-
-    h = prec.diff_step
-
-    def central(step: float) -> float:
-        return (zval(step) - zval(-step)) / (2.0 * step)
-
-    d1 = central(h)
-    d2 = central(0.5 * h)
-    return (4.0 * d2 - d1) / 3.0
+    return central_derivative(
+        lambda sv: zeta_laplacian(complex(sv, 0.0), t, "contour", prec).value.real,
+        0.0,
+        prec.diff_step,
+    )
 
 
 def determinant_torus(
@@ -487,26 +446,13 @@ def determinant_torus_numeric(
     return math.exp(-zeta_laplacian_deriv0_numeric(tau, prec))
 
 
-def _richardson_ladder(values: list[float], ratio: float = 10.0) -> float:
-    """Richardson extrapolation of g(h_i) sampled at h, h/ratio, h/ratio^2, ..."""
-    table = [complex(v) for v in values]
-    n = len(table)
-    for level in range(1, n):
-        factor = ratio**level
-        table = [
-            (factor * table[i + 1] - table[i]) / (factor - 1.0)
-            for i in range(len(table) - 1)
-        ]
-    return table[0].real
-
-
 def pole_residue(tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION) -> float:
     """Residue of E*(s, tau) at s = 1, via Richardson extrapolation of
     (s - 1) E*(s, tau) along s = 1 + 10^(-k); exact value is pi."""
     t = as_tau(tau)
     hs = [1e-1, 1e-2, 1e-3, 1e-4]
     vals = [h * eisenstein_cs(1.0 + h, t, prec).value.real for h in hs]
-    return _richardson_ladder(vals)
+    return richardson(vals, 10.0)
 
 
 class KroneckerLimit(NamedTuple):
@@ -526,7 +472,7 @@ def kronecker_constant(
     t = as_tau(tau)
     hs = [1e-1, 1e-2, 1e-3, 1e-4]
     vals = [eisenstein_cs(1.0 + h, t, prec).value.real - math.pi / h for h in hs]
-    limit = _richardson_ladder(vals)
+    limit = richardson(vals, 10.0)
     closed = 2.0 * math.pi * (
         EULER_GAMMA - math.log(2.0) - math.log(math.sqrt(t.tau2) * abs(eta(t, prec)) ** 2)
     )

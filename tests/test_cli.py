@@ -122,6 +122,20 @@ def test_eval_nonfinite_number_is_usage_error(capsys, argv):
     assert "finite" in err and out == ""
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--tol-tail", "inf"),
+    ("--tol-quad", "nan"),
+    ("--tol-quad", "1"),
+    ("--diff-step", "inf"),
+    ("--n-max", "0"),
+])
+def test_eval_invalid_precision_is_usage_error(capsys, flag, value):
+    code, out, err = run(capsys, "eval", "--what", "eisenstein", "--s", "0.3",
+                         "--tau", "0.2+1i", "--method", "contour", f"{flag}={value}")
+    assert code == EXIT_USAGE
+    assert "usage error" in err and out == ""
+
+
 def test_unknown_what_is_usage_error(capsys):
     code = main(["eval", "--what", "nonsense", "--s", "1"])
     assert code == EXIT_USAGE

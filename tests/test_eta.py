@@ -192,3 +192,17 @@ def test_precision_validation():
         Precision(n_max=0)
     with pytest.raises(DomainError):
         Precision(diff_step=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("quad_rel_tol", math.nan),
+    ("quad_rel_tol", math.inf),
+    ("quad_rel_tol", 1.0),
+    ("series_tail_tol", math.inf),
+    ("series_tail_tol", 2.0),
+    ("diff_step", math.inf),
+    ("diff_step", math.nan),
+])
+def test_precision_rejects_nonfinite_or_large(field, value):
+    with pytest.raises(DomainError, match=field):
+        Precision(**{field: value})

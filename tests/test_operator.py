@@ -137,6 +137,14 @@ def test_zeta_free_converges_and_counts_every_node(monkeypatch):
         assert got.diagnostics.quad_evals == head.n_evals + 9 * (24 + 32)
 
 
+@pytest.mark.parametrize("v, mean", [
+    (lambda x: x * (1.0 - x), 1.0 / 6.0),
+    (lambda x: math.exp(2.0 * x), (math.exp(2.0) - 1.0) / 2.0),
+])
+def test_operator_spec_mean_of_potential(v, mean):
+    assert abs(OperatorSpec(v)._mean_v - mean) < 4e-15 * mean
+
+
 def test_operator_spec_rejects_nonfinite_potential():
     with pytest.raises(DomainError):
         OperatorSpec(lambda x: math.inf if x > 0.5 else 0.0, "bad")

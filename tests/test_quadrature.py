@@ -1,10 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from toruszeta.errors import DomainError
-from toruszeta.quadrature import adaptive_gauss, gauss_panel, tanh_sinh
+from toruszeta import quadrature
+from toruszeta.errors import DomainError, TruncationWarning
+from toruszeta.quadrature import (
+    adaptive_gauss,
+    central_derivative,
+    gauss_panel,
+    richardson,
+    tanh_sinh,
+)
 
 
 def test_adaptive_gauss_sin():
@@ -49,3 +57,52 @@ def test_tanh_sinh_complex_exponent():
 def test_tanh_sinh_smooth():
     res = tanh_sinh(np.exp, 0.0, 1.0, tol=1e-13)
     assert abs(res.value - (math.e - 1.0)) < 1e-13
+
+
+def test_converging_calls_do_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tanh_sinh(lambda u: u**-0.5, 0.0, 1.0, tol=1e-13)
+        adaptive_gauss(np.sin, 0.0, math.pi, rel_tol=1e-13)
+
+
+def test_tanh_sinh_level_cap_warns():
+    # cos(30u)/sqrt(u) needs five halvings to reach 1e-13
+    def f(u):
+        return np.cos(30.0 * u) / np.sqrt(u)
+
+    with pytest.warns(TruncationWarning, match="tanh_sinh hit max_level = 3"):
+        res = tanh_sinh(f, 0.0, 1.0, tol=1e-13, max_level=3)
+    assert res.err_estimate > 1e-13
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tanh_sinh(f, 0.0, 1.0, tol=1e-13, max_level=5)
+
+
+def test_adaptive_gauss_panel_budget_warns(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 2)
+    # the kink at x = 1/3 keeps every panel that holds it from converging
+    with pytest.warns(TruncationWarning, match="adaptive_gauss hit MAX_PANELS = 2"):
+        res = adaptive_gauss(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0, rel_tol=1e-13)
+    assert abs(res.value - 5.0 / 18.0) < 1e-3
+
+
+# -------------------------------------------------------------- extrapolation
+
+
+def test_richardson_recovers_quadratic_limit():
+    c, a, b = 1.25, -3.0, 7.0
+    values = [c + a * h + b * h * h for h in (1e-1, 1e-2, 1e-3)]
+    assert abs(richardson(values, 10.0) - c) < 1e-13
+
+
+def test_richardson_single_value_is_itself():
+    assert richardson([2.5 + 1j], 4.0) == 2.5 + 1j
+
+
+@pytest.mark.parametrize("levels, bound", [(2, 1e-10), (3, 1e-13)])
+@pytest.mark.parametrize("f, df", [(math.exp, math.exp), (math.sin, math.cos)])
+def test_central_derivative(f, df, levels, bound):
+    # at h = 1e-2 the errors are O(h^4) with two levels and O(h^6) with three
+    for x in (-1.3, 0.0, 0.7):
+        assert abs(central_derivative(f, x, 1e-2, levels) - df(x)) < bound

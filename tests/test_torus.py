@@ -14,7 +14,6 @@ from toruszeta.torus import (
     ContourIntegrandParams,
     determinant_torus,
     determinant_torus_numeric,
-    eigenvalues,
     eisenstein,
     eisenstein_cs,
     eisenstein_contour,
@@ -52,44 +51,6 @@ DET_2I = 0.4925719731282440         # 4 |eta(2i)|^4
 DERIV0_I = 1.0546882809956719       # -log|eta(i)|^4
 EULER_GAMMA = 0.5772156649015329
 KRONECKER_I = 2.5849817595792532    # 2 pi (gamma - log 2 - log|eta(i)|^2)
-
-
-# ------------------------------------------------------------- eigenvalues
-
-
-def test_eigenvalues_first_shell_at_i():
-    evs = eigenvalues(1j, (2 * math.pi) ** 2)
-    assert sorted((e.m, e.n) for e in evs) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
-    assert all(abs(e.lambda_sq - (2 * math.pi) ** 2) < 1e-9 for e in evs)
-
-
-def test_eigenvalues_second_shell_at_i():
-    evs = eigenvalues(1j, 2 * (2 * math.pi) ** 2)
-    assert len(evs) == 8
-    diag = [e for e in evs if abs(e.m) == 1 and abs(e.n) == 1]
-    assert len(diag) == 4
-    assert all(abs(e.lambda_sq - 2 * (2 * math.pi) ** 2) < 1e-9 for e in diag)
-
-
-def test_eigenvalues_sorted_and_brute_force_count():
-    tau = 0.5 + 1.1j
-    bound = 100 * (2 * math.pi / 1.1) ** 2
-    evs = eigenvalues(tau, bound)
-    lam = [e.lambda_sq for e in evs]
-    assert lam == sorted(lam)
-    count = 0
-    for m in range(-60, 61):
-        for n in range(-60, 61):
-            if (m, n) == (0, 0):
-                continue
-            if (2 * math.pi / 1.1) ** 2 * ((m + 0.5 * n) ** 2 + (1.1 * n) ** 2) <= bound:
-                count += 1
-    assert len(evs) == count
-
-
-def test_eigenvalues_domain():
-    with pytest.raises(DomainError):
-        eigenvalues(1j, 0.0)
 
 
 # ------------------------------------------------------------- direct sum
