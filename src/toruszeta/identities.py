@@ -181,12 +181,12 @@ def registry() -> list[IdentityCheck]:
             ),
         ))
 
-    # --- remainder equality (the two 'remainders' coincide) ------------------------
+    # --- remainder equality (the two 'remainders' coincide), relative to |Q| -------
     for s, tau in ((0.3, 0.25 + 1.1j), (-0.5, 1j)):
         add(IdentityCheck(
             f"remainder.integral_vs_bessel.s={_fmt(s)}.tau={_fmt(tau)}",
             "branch-cut integral remainder equals the divisor Bessel series",
-            1e-8, False,
+            1e-11, True,
             lambda prec, sv=s, t=tau: (
                 remainder_integral(sv, t, prec),
                 remainder_bessel(sv, t, prec),

@@ -3,7 +3,8 @@ analytic continuation, the modified Bessel function K_nu by quadrature of
 its integral definition, divisor sums, Dedekind sums and Lambert series.
 
 Everything here is a pure function of its inputs; the only state is a
-bounded, thread-safe memo on the Bessel evaluator.
+bounded, thread-safe memo on the one-value Bessel evaluator ``bessel_k``.
+Series that need K_nu at many x call ``scaled_bessel_k`` once, uncached.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from .domain import DEFAULT_PRECISION, Precision, require_finite
 from .errors import DomainError, PoleError, TruncationWarning
+from .quadrature import QuadResult, adaptive_gauss_rows
 
 _POLE_TOL = 1e-12
 
@@ -181,18 +183,20 @@ def riemann_zeta(s: complex) -> complex:
     return require_finite(chi * _zeta_euler_maclaurin(1.0 - s), "riemann_zeta")
 
 
-def _bessel_k_quad(nu: complex, x: float, rel_tol: float) -> complex:
-    """exp(x) * K_nu(x) by quadrature.
+def scaled_bessel_k(nu: complex, xs: np.ndarray, rel_tol: float) -> QuadResult:
+    """exp(x) K_nu(x) for every x of xs, by one stacked quadrature.
 
     Substituting t = e^w in the defining integral
     K_nu(x) = 1/2 int_0^inf exp(-(x/2)(t + 1/t)) t^(nu-1) dt
     folds the two half-lines together into
     K_nu(x) = int_0^inf exp(-x cosh w) cosh(nu w) dw,
     which is manifestly even in nu.  The e^x rescaling keeps the integrand
-    O(1) so the result is accurate relative to K's own (tiny) scale.
+    O(1) so each row is accurate relative to K's own (tiny) scale.  All rows
+    share the range [0, w_max] of the smallest x, past which its integrand
+    is below e^(-45); the larger x decay sooner.
     """
-    from .quadrature import adaptive_gauss
-
+    xs = np.asarray(xs, dtype=float)
+    x = float(np.min(xs))
     a = abs(complex(nu).real)
     # find w_max with x(cosh w - 1) - a*w > ~45
     w_max = 1.0
@@ -206,18 +210,18 @@ def _bessel_k_quad(nu: complex, x: float, rel_tol: float) -> complex:
 
     nu_c = complex(nu)
     nu_arg: complex | float = nu_c if nu_c.imag != 0 else nu_c.real
+    col = xs[:, None]
 
-    def f(w: np.ndarray) -> np.ndarray:
+    def f(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
         # cosh(w) - 1 = -expm1(w) expm1(-w) / 2, accurate near w = 0
-        return np.exp(0.5 * x * np.expm1(w) * np.expm1(-w)) * np.cosh(nu_arg * w)
+        return np.exp(col[rows] * (0.5 * np.expm1(w) * np.expm1(-w))) * np.cosh(nu_arg * w)
 
-    res = adaptive_gauss(f, 0.0, w_max, rel_tol=rel_tol)
-    return res.value
+    return adaptive_gauss_rows(f, 0.0, w_max, xs.size, rel_tol=rel_tol)
 
 
 @lru_cache(maxsize=8192)
 def _bessel_k_cached(nu_re: float, nu_im: float, x: float, rel_tol: float) -> complex:
-    return _bessel_k_quad(complex(nu_re, nu_im), x, rel_tol)
+    return complex(scaled_bessel_k(complex(nu_re, nu_im), np.array([x]), rel_tol).value[0])
 
 
 def bessel_k(nu: float | complex, x: float, prec: Precision = DEFAULT_PRECISION) -> float | complex:

@@ -20,7 +20,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,19 @@ from .domain import (
 )
 from .errors import DomainError, PoleError, TruncationWarning
 from .eta import eta
-from .quadrature import adaptive_gauss, central_derivative, richardson, tanh_sinh
-from .specialfn import bessel_k, cpow, gamma, rgamma, riemann_zeta, sigma, sinpi
+from .quadrature import (
+    RowIntegrand,
+    adaptive_gauss,
+    adaptive_gauss_rows,
+    central_derivative,
+    richardson,
+    tanh_sinh,
+    tanh_sinh_rows,
+)
+# bessel_k is not called here; benchmarks/test_benchmark.py checks that the
+# tracer wraps this binding
+from .specialfn import bessel_k  # noqa: F401
+from .specialfn import cpow, gamma, rgamma, riemann_zeta, scaled_bessel_k, sigma, sinpi
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -72,24 +83,6 @@ class ContourIntegrandParams:
     @property
     def branch_point(self) -> complex:
         return complex(-self.n * self.tau.tau1, self.n * self.tau.tau2)
-
-    @property
-    def phase(self) -> float:
-        """2 pi n tau1, the oscillation of e^(2 pi i n tau1)."""
-        return 2.0 * math.pi * self.n * self.tau.tau1
-
-    @property
-    def damping(self) -> float:
-        """2 pi n tau2, the exponential decay rate of the branch term."""
-        return 2.0 * math.pi * self.n * self.tau.tau2
-
-    def log_derivative(self, u: np.ndarray) -> np.ndarray:
-        """d/du log[(1 - E1)(1 - E2)] with E1, E2 the two conjugate
-        exponentials of modulus e^(-2 pi (u + n tau2)): equals
-        4 pi Re[E/(1 - E)], which is real."""
-        rho = np.exp(-2.0 * math.pi * u - self.damping)
-        c = math.cos(self.phase)
-        return 4.0 * math.pi * (rho * c - rho * rho) / (1.0 - 2.0 * rho * c + rho * rho)
 
 
 def _check_not_pole(s: complex) -> complex:
@@ -222,57 +215,98 @@ def _cs_main_terms(s: complex, t: TauPoint) -> complex:
 # ------------------------------------------------------------------ remainders
 
 
-def _divisor_bessel_series(
-    s: complex, t: TauPoint, prec: Precision, scale: complex = 1.0
-) -> complex:
-    """scale * sum_{n>=1} sigma_(1-2s)(n) cos(2 pi n tau1) K_(1/2-s)(2 pi n tau2) n^(s-1/2).
+_FIRST_BLOCK, _BLOCK = 8, 16  # series terms computed per block, first and later
 
-    Terms decay like e^(-2 pi n tau2); the sum stops once two consecutive
+
+def _sum_series(
+    block: Callable[[np.ndarray], tuple[np.ndarray, int]],
+    scale: complex,
+    tau2: float,
+    prec: Precision,
+    name: str,
+    diag: Diagnostics | None,
+) -> complex:
+    """scale * sum_{n>=1} term(n), where block(ns) returns the terms of a
+    block of consecutive n and the quadrature evaluations spent on them.
+
+    The terms decay like e^(-2 pi n tau2); the sum stops once two consecutive
     scaled terms fall below series_tail_tol (1 - e^(-2 pi tau2)), which bounds
-    the geometric tail by the same tolerance."""
-    nu = 0.5 - s
+    the geometric tail by the same tolerance.  Terms computed past the stop
+    are discarded.  diag, if given, gains the terms summed and the
+    evaluations spent."""
+    diag = diag if diag is not None else Diagnostics()
+    stop = prec.series_tail_tol * (1.0 - math.exp(-2.0 * math.pi * tau2))
+    scale_abs = abs(scale)
     total = 0.0 + 0.0j
     small = 0
-    stop = prec.series_tail_tol * (1.0 - math.exp(-2.0 * math.pi * t.tau2))
-    for n in range(1, prec.n_max + 1):
-        term = (
-            sigma(1.0 - 2.0 * s, n)
-            * math.cos(2.0 * math.pi * n * t.tau1)
-            * bessel_k(nu, 2.0 * math.pi * n * t.tau2, prec)
-            * n ** (s - 0.5)
-        )
-        total += term
-        if abs(term) * abs(scale) < stop:
-            small += 1
+    n, size = 1, _FIRST_BLOCK
+    while n <= prec.n_max:
+        terms, evals = block(np.arange(n, min(n + size, prec.n_max + 1)))
+        diag.quad_evals += evals
+        for term in terms.tolist():
+            total += term
+            diag.terms_used += 1
+            small = small + 1 if abs(term) * scale_abs < stop else 0
             if small >= 2:
-                break
-        else:
-            small = 0
-    else:
-        warnings.warn(
-            f"divisor-Bessel series hit n_max = {prec.n_max}", TruncationWarning, stacklevel=3
-        )
+                return scale * total
+        n, size = n + len(terms), _BLOCK
+    warnings.warn(f"{name} hit n_max = {prec.n_max}", TruncationWarning, stacklevel=3)
     return scale * total
 
 
+def _divisor_bessel_series(
+    s: complex, t: TauPoint, prec: Precision, scale: complex = 1.0, diag: Diagnostics | None = None
+) -> complex:
+    """scale * sum_{n>=1} sigma_(1-2s)(n) cos(2 pi n tau1) K_(1/2-s)(2 pi n tau2) n^(s-1/2),
+    with the K_nu of a block of n from one stacked quadrature."""
+
+    def block(ns: np.ndarray) -> tuple[np.ndarray, int]:
+        xs = 2.0 * math.pi * t.tau2 * ns
+        k = scaled_bessel_k(0.5 - s, xs, prec.quad_rel_tol)
+        sig = np.array([sigma(1.0 - 2.0 * s, int(n)) for n in ns])
+        bessel = k.value * np.exp(-xs)
+        return sig * np.cos(2.0 * math.pi * t.tau1 * ns) * bessel * ns ** (s - 0.5), k.n_evals
+
+    return _sum_series(block, scale, t.tau2, prec, "divisor-Bessel series", diag)
+
+
 def remainder_bessel(
-    s: complex, tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION
+    s: complex,
+    tau: TauPoint | complex,
+    prec: Precision = DEFAULT_PRECISION,
+    diag: Diagnostics | None = None,
 ) -> complex:
     """Bessel-series remainder
     Q(s,tau) = (8 pi^s tau2^(1/2) / Gamma(s)) *
                sum_{n>=1} sigma_(1-2s)(n) cos(2 pi n tau1) K_(1/2-s)(2 pi n tau2) n^(s-1/2).
-    Terms decay like e^(-2 pi n tau2)."""
+    Terms decay like e^(-2 pi n tau2).  diag, if given, gains the terms
+    summed and the quadrature evaluations."""
     s = complex(s)
     t = as_tau(tau)
     rg = rgamma(s)
     if rg == 0:
         return 0.0 + 0.0j
     pref = 8.0 * math.pi**s * math.sqrt(t.tau2) * rg
-    return require_finite(_divisor_bessel_series(s, t, prec, pref), "remainder_bessel")
+    return require_finite(
+        _divisor_bessel_series(s, t, prec, pref, diag), "remainder_bessel"
+    )
+
+
+def _branch_integrals(
+    integrand: RowIntegrand, rows: int, u_hi: float, tol: float, abs_tol: float
+) -> tuple[np.ndarray, int]:
+    """int_0^u_hi of each row: tanh-sinh on (0, 1), where the rows carry their
+    algebraic u^(-s) endpoint singularity, and adaptive Gauss on (1, u_hi)."""
+    head = tanh_sinh_rows(integrand, 0.0, 1.0, rows, tol=tol)
+    tail = adaptive_gauss_rows(integrand, 1.0, u_hi, rows, rel_tol=tol, abs_tol=abs_tol)
+    return head.value + tail.value, head.n_evals + tail.n_evals
 
 
 def remainder_integral(
-    s: complex, tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION
+    s: complex,
+    tau: TauPoint | complex,
+    prec: Precision = DEFAULT_PRECISION,
+    diag: Diagnostics | None = None,
 ) -> complex:
     """Branch-cut integral remainder (Re s < 1):
 
@@ -280,11 +314,13 @@ def remainder_integral(
                (u^2 + 2 u n tau2)^(-s) d/du log[(1 - E1)(1 - E2)],
     E1 = e^(-2 pi u - 2 pi i n conj(tau)), E2 = e^(-2 pi u + 2 pi i n tau).
 
-    Both exponentials have modulus e^(-2 pi (u + n tau2)), so the logarithmic
-    derivative is 4 pi Re[E/(1-E)] and the u-integrand has only the algebraic
-    u^(-s) endpoint singularity, handled by the double-exponential rule on
-    (0, 1); the smooth exponentially damped part on (1, U) uses adaptive
-    Gauss panels.
+    Both exponentials have modulus rho = e^(-2 pi (u + n tau2)), so the
+    logarithmic derivative is 4 pi Re[E/(1-E)]
+    = 4 pi (rho c - rho^2) / (1 - 2 rho c + rho^2), c = cos(2 pi n tau1),
+    and the u-integrand has only the algebraic u^(-s) endpoint singularity.
+    A block of n is integrated at once, one row per n; u runs up to where
+    u + n tau2 = 8 for the block's first n.  diag, if given, gains the terms
+    summed and the quadrature evaluations.
     """
     s = complex(s)
     t = as_tau(tau)
@@ -294,58 +330,56 @@ def remainder_integral(
     if sp == 0:
         return 0.0 + 0.0j
     tol = max(1e-14, 0.1 * prec.quad_rel_tol)
-    total = 0.0 + 0.0j
+
+    def block(ns: np.ndarray) -> tuple[np.ndarray, int]:
+        two_n_tau2 = (2.0 * t.tau2 * ns)[:, None]
+        decay = np.exp(-math.pi * two_n_tau2)  # e^(-2 pi n tau2)
+        c = np.cos(2.0 * math.pi * t.tau1 * ns)[:, None]
+
+        def integrand(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            rho = np.exp(-2.0 * math.pi * u) * decay[rows]
+            cr = c[rows]
+            log_derivative = 4.0 * math.pi * rho * (cr - rho) / (1.0 - rho * (2.0 * cr - rho))
+            return cpow(u * (u + two_n_tau2[rows]), -s) * log_derivative
+
+        return _branch_integrals(integrand, ns.size, max(2.0, 8.0 - ns[0] * t.tau2), tol, 1e-16)
+
     pref = 2.0 * t.tau2**s * sp / math.pi
-    for n in range(1, prec.n_max + 1):
-        branch = ContourIntegrandParams(n, t)
-
-        def integrand(u: np.ndarray) -> np.ndarray:
-            w = u * (u + 2.0 * n * t.tau2)
-            return cpow(w, -s) * branch.log_derivative(u)
-
-        head = tanh_sinh(integrand, 0.0, 1.0, tol=tol)
-        u_hi = max(2.0, 8.0 - n * t.tau2)
-        tail = adaptive_gauss(integrand, 1.0, u_hi, rel_tol=tol, abs_tol=1e-16)
-        term = head.value + tail.value
-        total += term
-        if abs(term) * abs(pref) < prec.series_tail_tol:
-            break
-    else:
-        warnings.warn(
-            f"remainder_integral hit n_max = {prec.n_max}", TruncationWarning, stacklevel=2
-        )
-    return require_finite(pref * total, "remainder_integral")
+    return require_finite(
+        _sum_series(block, pref, t.tau2, prec, "remainder_integral", diag), "remainder_integral"
+    )
 
 
 # ------------------------------------------------------------- E* evaluators
 
 
 def _eisenstein_regular(
-    s: complex, t: TauPoint, prec: Precision, method: str
+    s: complex, t: TauPoint, prec: Precision, method: str, diag: Diagnostics
 ) -> complex:
     if method == "chowla_selberg":
-        return _cs_main_terms(s, t) + remainder_bessel(s, t, prec)
-    return _cs_main_terms(s, t) + remainder_integral(s, t, prec)
+        return _cs_main_terms(s, t) + remainder_bessel(s, t, prec, diag)
+    return _cs_main_terms(s, t) + remainder_integral(s, t, prec, diag)
 
 
 def _eisenstein_value(
-    s: complex, t: TauPoint, prec: Precision, method: str
+    s: complex, t: TauPoint, prec: Precision, method: str, diag: Diagnostics
 ) -> tuple[complex, float]:
     """E* value with the s = 1/2 double pole-pair handled by symmetric
     averaging plus one Richardson step (the two series terms have cancelling
-    poles there and the evaluator is even in (s - 1/2) to leading order)."""
+    poles there and the evaluator is even in (s - 1/2) to leading order).
+    diag gains the counters of every remainder evaluated."""
     if abs(s - 0.5) < _HALF_WINDOW:
 
         def avg(step: float) -> complex:
             return 0.5 * (
-                _eisenstein_regular(s + step, t, prec, method)
-                + _eisenstein_regular(s - step, t, prec, method)
+                _eisenstein_regular(s + step, t, prec, method, diag)
+                + _eisenstein_regular(s - step, t, prec, method, diag)
             )
 
         a1, a2 = avg(2e-3), avg(1e-3)
         value = richardson([a1, a2], 4.0)
         return value, abs(a2 - a1) / 3.0 + 1e-13 * abs(value)
-    value = _eisenstein_regular(s, t, prec, method)
+    value = _eisenstein_regular(s, t, prec, method, diag)
     return value, 1e-13 * max(1.0, abs(value))
 
 
@@ -355,8 +389,9 @@ def eisenstein_cs(
     """E*(s, tau) via the Chowla-Selberg series, valid for every s != 1."""
     s = _check_not_pole(s)
     t = as_tau(tau)
-    value, err = _eisenstein_value(s, t, prec, "chowla_selberg")
-    return EvalResult(require_finite(value, "eisenstein_cs"), err, "chowla_selberg")
+    diag = Diagnostics()
+    value, err = _eisenstein_value(s, t, prec, "chowla_selberg", diag)
+    return EvalResult(require_finite(value, "eisenstein_cs"), err, "chowla_selberg", diag)
 
 
 def eisenstein_contour(
@@ -367,8 +402,9 @@ def eisenstein_contour(
     t = as_tau(tau)
     if not s.real < 1.0:
         raise DomainError("contour evaluation is realized only for Re s < 1")
-    value, err = _eisenstein_value(s, t, prec, "contour")
-    return EvalResult(require_finite(value, "eisenstein_contour"), err, "contour")
+    diag = Diagnostics()
+    value, err = _eisenstein_value(s, t, prec, "contour", diag)
+    return EvalResult(require_finite(value, "eisenstein_contour"), err, "contour", diag)
 
 
 def eisenstein(
@@ -575,32 +611,25 @@ def mellin_remainder_tau_i(
 ) -> complex:
     """4 sin(pi s)/pi * sum_{n>=1} int_0^inf u^(s-1)
     pi / ((e^(2 pi sqrt(n^2+u)) - 1) sqrt(n^2+u)) du, which equals Q(1-s, i);
-    defined on the strip 0 < Re s < 1."""
+    defined on the strip 0 < Re s < 1.  The n-integrals are computed a block
+    at a time, like the branches of remainder_integral."""
     s = complex(s)
     if not (0.0 < s.real < 1.0):
         raise DomainError("mellin_remainder_tau_i needs 0 < Re s < 1")
     tol = max(1e-14, 0.1 * prec.quad_rel_tol)
-    total = 0.0 + 0.0j
-    for n in range(1, prec.n_max + 1):
-        n2 = float(n * n)
 
-        def integrand(u: np.ndarray) -> np.ndarray:
-            root = np.sqrt(n2 + u)
+    def block(ns: np.ndarray) -> tuple[np.ndarray, int]:
+        n2 = (ns * ns).astype(float)[:, None]
+
+        def integrand(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            root = np.sqrt(n2[rows] + u)
             core = math.pi / (np.expm1(2.0 * math.pi * root) * root)
             return cpow(u, s - 1.0) * core
 
-        head = tanh_sinh(integrand, 0.0, 1.0, tol=tol)
-        u_hi = max(4.0, 54.0 - n2)
-        tail = adaptive_gauss(integrand, 1.0, u_hi, rel_tol=tol, abs_tol=1e-17)
-        term = head.value + tail.value
-        total += term
-        if abs(term) < prec.series_tail_tol:
-            break
-    else:
-        warnings.warn(
-            f"mellin_remainder_tau_i hit n_max = {prec.n_max}", TruncationWarning, stacklevel=2
-        )
-    value = 4.0 * sinpi(s) / math.pi * total
+        u_hi = max(4.0, 54.0 - float(ns[0]) ** 2)
+        return _branch_integrals(integrand, ns.size, u_hi, tol, 1e-17)
+
+    value = _sum_series(block, 4.0 * sinpi(s) / math.pi, 1.0, prec, "mellin_remainder_tau_i", None)
     return require_finite(value, "mellin_remainder_tau_i")
 
 

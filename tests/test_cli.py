@@ -90,6 +90,17 @@ def test_eval_eisenstein_direct(capsys):
     assert doc["diagnostics"]["terms_used"] > 0
 
 
+@pytest.mark.parametrize("method", ["chowla_selberg", "contour"])
+def test_eval_series_routes_report_their_counters(capsys, method):
+    argv = ("eval", "--what", "zeta-laplacian", "--s", "0.3+0.2i", "--tau", "0.2+0.6i",
+            "--method", method)
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    diag = json.loads(out)["diagnostics"]
+    assert diag["terms_used"] > 0 and diag["quad_evals"] > diag["terms_used"]
+    assert run(capsys, *argv)[1] == out
+
+
 def test_eval_pole_is_machine_readable_exit_2(capsys):
     code, out, _ = run(capsys, "eval", "--what", "eisenstein", "--s", "1", "--tau", "0+1i")
     assert code == EXIT_DOMAIN

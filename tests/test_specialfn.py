@@ -16,6 +16,7 @@ from toruszeta.specialfn import (
     lambert_series,
     rgamma,
     riemann_zeta,
+    scaled_bessel_k,
     sigma,
     sinpi,
 )
@@ -232,6 +233,26 @@ def test_bessel_complex_order_conjugation():
     v = bessel_k(0.5 - 2.5j, 6.0)
     w = bessel_k(0.5 + 2.5j, 6.0)
     assert abs(v - w.conjugate()) < 1e-15 * abs(v)
+
+
+@pytest.mark.parametrize("tau2", [0.05, 0.3, 1.0, 2.0])
+@pytest.mark.parametrize("nu", [0.2 - 0.4j, -1.3 + 1.1j, 2.5 + 0.0j, 0.5 - 3.0j])
+def test_batched_bessel_matches_mpmath(nu, tau2):
+    # the stacked kernel the Bessel series uses, at its arguments x_n = 2 pi n tau2
+    mp = pytest.importorskip("mpmath")
+    ns = np.arange(1, 17)
+    xs = 2.0 * math.pi * tau2 * ns
+    got = scaled_bessel_k(nu, xs, 1e-12).value * np.exp(-xs)
+    for x, k in zip(xs, got):
+        with mp.workdps(30):
+            ref = complex(mp.besselk(mp.mpc(nu), x))
+        assert abs(k - ref) <= 1e-12 * abs(ref)
+
+
+def test_bessel_k_is_the_one_row_kernel():
+    for nu, x in ((0.3 + 0.7j, 1.9), (1.5, 0.4)):
+        one = scaled_bessel_k(nu, np.array([x]), 1e-12).value[0] * math.exp(-x)
+        assert abs(bessel_k(nu, x) - one) <= 1e-15 * abs(one)
 
 
 def test_bessel_domain():

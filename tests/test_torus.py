@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toruszeta.domain import Precision, Sl2zMatrix
+from toruszeta.domain import DEFAULT_PRECISION, Diagnostics, Precision, Sl2zMatrix
 from toruszeta.errors import DomainError, PoleError, TruncationWarning
 from toruszeta.eta import eta
 from toruszeta.quadrature import adaptive_gauss, tanh_sinh
@@ -193,33 +193,45 @@ def test_remainder_double_sum_identity():
     assert abs(double - single) < 1e-13
 
 
-def test_remainder_bessel_matches_mpmath_series():
-    # the same series summed independently in 30-digit arithmetic, with
-    # mpmath's complex-order K_nu and divisors by trial division
+def q_mpmath(s: complex, tau: complex, n_terms: int = 60) -> complex:
+    """The Bessel-series remainder summed independently in 30-digit
+    arithmetic, with mpmath's complex-order K_nu and divisors by trial
+    division."""
     mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        ms, t1, t2 = mp.mpc(s), mp.mpf(tau.real), mp.mpf(tau.imag)
+        total = mp.mpc(0)
+        for n in range(1, n_terms + 1):
+            sig = sum(mp.mpf(d) ** (1 - 2 * ms) for d in range(1, n + 1) if n % d == 0)
+            total += (
+                sig
+                * mp.cos(2 * mp.pi * n * t1)
+                * mp.besselk(0.5 - ms, 2 * mp.pi * n * t2)
+                * mp.mpf(n) ** (ms - 0.5)
+            )
+        return complex(8 * mp.pi**ms * mp.sqrt(t2) * total / mp.gamma(ms))
 
-    def q_mp(s: complex, tau: complex, n_terms: int = 60) -> complex:
-        with mp.workdps(30):
-            ms, t1, t2 = mp.mpc(s), mp.mpf(tau.real), mp.mpf(tau.imag)
-            total = mp.mpc(0)
-            for n in range(1, n_terms + 1):
-                sig = sum(mp.mpf(d) ** (1 - 2 * ms) for d in range(1, n + 1) if n % d == 0)
-                total += (
-                    sig
-                    * mp.cos(2 * mp.pi * n * t1)
-                    * mp.besselk(0.5 - ms, 2 * mp.pi * n * t2)
-                    * mp.mpf(n) ** (ms - 0.5)
-                )
-            return complex(8 * mp.pi**ms * mp.sqrt(t2) * total / mp.gamma(ms))
 
+def test_remainder_bessel_matches_mpmath_series():
     for s, tau in (
         (0.3 + 0.4j, 0.3 + 0.2j),
         (-0.6 + 1.1j, 0.3 + 0.2j),
         (1.7 - 0.5j, -0.4 + 0.35j),
         (2.5 + 3.0j, 0.1 + 0.15j),
     ):
-        q = q_mp(s, tau)
+        q = q_mpmath(s, tau)
         assert abs(remainder_bessel(s, tau) - q) < 1e-12 * abs(q)
+
+
+def test_remainder_integral_sums_past_a_vanishing_branch():
+    # at tau1 = 1/4 every branch n = 2 mod 4 has cos(2 pi n tau1) = -1, but
+    # n = 3 has cos = 0 and leaves only its tiny rho^2 part (1.5e-18), while
+    # n = 4 still adds 2.3e-12: a sum that stops at the first small branch
+    # misses it, 4.6e-7 of Q
+    s, tau = 0.3, 0.25 + 1.1j
+    q = q_mpmath(s, tau)
+    assert abs(remainder_integral(s, tau) - q) <= 1e-12 * abs(q)
+    assert abs(remainder_integral(s, tau) - remainder_bessel(s, tau)) <= 1e-12 * abs(q)
 
 
 def test_remainder_integral_equals_bessel():
@@ -407,6 +419,40 @@ def test_remainder_fe_grid():
     assert remainder_fe_residual(0.3, 1j) < 1e-9
     assert remainder_fe_residual(-0.7, 0.2 + 1.5j) < 1e-9
     assert remainder_fe_residual(0.5, 1j) == 0.0
+
+
+# ------------------------------------------------------------------ counters
+
+
+@pytest.mark.parametrize("route", [eisenstein_cs, eisenstein_contour])
+def test_counters_are_real_and_deterministic(route):
+    s = 0.3 + 0.2j
+    first = route(s, 0.1 + 1.0j).diagnostics
+    again = route(s, 0.1 + 1.0j).diagnostics
+    assert (first.terms_used, first.quad_evals) == (again.terms_used, again.quad_evals)
+    assert first.terms_used > 0 and first.quad_evals > 0
+    # the series decays like e^(-2 pi n tau2): smaller tau2, more terms and work
+    wider = route(s, 0.1 + 0.3j).diagnostics
+    assert wider.terms_used > first.terms_used
+    assert wider.quad_evals > first.quad_evals
+
+
+def test_zeta_laplacian_carries_the_counters():
+    got = zeta_laplacian(0.3, 0.2 + 0.7j, "contour").diagnostics
+    base = eisenstein_contour(0.3, 0.2 + 0.7j).diagnostics
+    assert (got.terms_used, got.quad_evals) == (base.terms_used, base.quad_evals)
+
+
+@pytest.mark.parametrize("method, remainder", [
+    ("chowla_selberg", remainder_bessel), ("contour", remainder_integral)])
+def test_counters_at_half_sum_the_four_evaluations(method, remainder):
+    tau = 0.2 + 0.9j
+    want = Diagnostics()
+    for step in (2e-3, 1e-3):
+        for sign in (1.0, -1.0):
+            remainder(0.5 + sign * step, tau, DEFAULT_PRECISION, want)
+    got = eisenstein(0.5, tau, method).diagnostics
+    assert (got.terms_used, got.quad_evals) == (want.terms_used, want.quad_evals)
 
 
 # ------------------------------------------------------- Bessel-sum constants
