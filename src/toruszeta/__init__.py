@@ -46,7 +46,6 @@ from .specialfn import (
     sinpi,
 )
 from .torus import (
-    ContourIntegrandParams,
     determinant_torus,
     determinant_torus_numeric,
     eisenstein,

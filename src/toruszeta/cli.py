@@ -102,7 +102,6 @@ def _precision_from(args: argparse.Namespace) -> Precision:
             quad_rel_tol=args.tol_quad,
             series_tail_tol=args.tol_tail,
             n_max=args.n_max,
-            diff_step=args.diff_step,
         )
     except DomainError as exc:
         raise UsageError(str(exc)) from None
@@ -115,8 +114,6 @@ def _add_precision_flags(p: argparse.ArgumentParser) -> None:
                    help="absolute series tail bound")
     p.add_argument("--n-max", type=int, default=DEFAULT_PRECISION.n_max,
                    help="hard cap on summation indices")
-    p.add_argument("--diff-step", type=float, default=DEFAULT_PRECISION.diff_step,
-                   help="step for numerical differentiation in s")
     p.add_argument("--out", default=None, help="write output to FILE instead of stdout")
 
 

@@ -18,14 +18,11 @@ class Precision:
                     stop, in (0, 1)
     n_max           hard cap on summation indices (a TruncationWarning is issued
                     whenever the cap is what actually stopped a sum)
-    diff_step       step used for numerical differentiation in s, positive and
-                    finite
     """
 
     quad_rel_tol: float = 1e-12
     series_tail_tol: float = 1e-14
     n_max: int = 10_000
-    diff_step: float = 1e-5
 
     def __post_init__(self) -> None:
         for name in ("quad_rel_tol", "series_tail_tol"):
@@ -33,8 +30,6 @@ class Precision:
                 raise DomainError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
         if self.n_max < 1:
             raise DomainError("n_max must be at least 1")
-        if not 0.0 < self.diff_step < math.inf:
-            raise DomainError(f"diff_step must be positive and finite, got {self.diff_step}")
 
 
 DEFAULT_PRECISION = Precision()

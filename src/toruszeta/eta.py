@@ -3,8 +3,10 @@ under the full modular group, with the multiplier system built from
 Dedekind sums.
 
 The q-product eta(tau) = e^(i pi tau/12) prod_{n>=1} (1 - e^(2 pi i n tau))
-converges at rate e^(-2 pi tau2); for small tau2 the point is first moved
-into the fundamental domain with shift/inversion moves and the
+converges at rate e^(-2 pi tau2); its log-factors log1p(-q^n) are summed by
+the package's one series driver, ``quadrature.sum_series``, with its
+stopping rule and its n_max warning.  For small tau2 the point is first
+moved into the fundamental domain with shift/inversion moves and the
 transformation law is applied backwards, which keeps factor counts small.
 """
 
@@ -12,33 +14,27 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
+
+import numpy as np
 
 from .domain import DEFAULT_PRECISION, Precision, Sl2zMatrix, TauPoint, as_tau
-from .errors import TruncationWarning
+from .quadrature import sum_series
 from .specialfn import dedekind_sum_exact
 
 _REDUCE_BELOW = 0.5  # tau2 under which fundamental-domain reduction kicks in
 
 
 def _eta_product(tau: TauPoint, prec: Precision) -> complex:
-    q = cmath.exp(2j * math.pi * tau.z)
-    aq = abs(q)
-    prod = 1.0 + 0.0j
-    qn = 1.0 + 0.0j
-    for n in range(1, prec.n_max + 1):
-        qn *= q
-        prod *= 1.0 - qn
-        # remaining log-factors are bounded by sum |q|^k = |q|^(n+1)/(1-|q|)
-        if abs(qn) * aq / (1.0 - aq) < prec.series_tail_tol:
-            break
-    else:
-        warnings.warn(
-            f"eta product hit n_max = {prec.n_max} before the tail bound",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    return cmath.exp(1j * math.pi * tau.z / 12.0) * prod
+    """exp(i pi tau/12 + sum_{n>=1} log1p(-q^n)), q = e^(2 pi i tau), with
+    the log-factors summed by the series driver."""
+    z = tau.z
+
+    def block(ns: np.ndarray) -> tuple[np.ndarray, int]:
+        return np.log1p(-np.exp(2j * math.pi * z * ns)), 0
+
+    ratio = math.exp(-2.0 * math.pi * tau.tau2)
+    log_prod = sum_series(block, 1.0, ratio, prec, "eta product", None)
+    return cmath.exp(1j * math.pi * z / 12.0 + log_prod)
 
 
 def fundamental_domain_reduce(tau: TauPoint | complex) -> tuple[TauPoint, Sl2zMatrix]:

@@ -435,7 +435,7 @@ def registry() -> list[IdentityCheck]:
         "zeta_R'(0) = -log(2 pi)/2 (central difference)",
         1e-9, False,
         lambda prec: (
-            central_derivative(riemann_zeta, 0.0, prec.diff_step, levels=1),
+            central_derivative(riemann_zeta, 0.0, levels=1),
             complex(-0.5 * math.log(2.0 * math.pi)),
         ),
     ))

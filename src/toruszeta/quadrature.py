@@ -19,6 +19,11 @@ rows x abscissae.  The public functions are their one-row cases.
 Every numerical derivative and limit goes through ``richardson`` and the
 ``central_derivative`` built on it.
 
+Every q-expansion -- a series whose terms decay like |q|^n -- goes through
+the one series driver ``sum_series``: the divisor-Bessel, contour and Mellin
+remainders, the Dedekind eta product, the Lambert series and the s = 1
+closed form.  It has one stopping rule and one TruncationWarning at n_max.
+
 Integrands of the public functions take a numpy array of abscissae and
 return an array of the same length (real or complex).  All reductions run
 in a fixed order so results are bit-reproducible across runs.
@@ -34,6 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .domain import Diagnostics, Precision
 from .errors import DomainError, TruncationWarning
 
 Integrand = Callable[[np.ndarray], np.ndarray]
@@ -42,6 +48,7 @@ RowIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]  # f(x, rows)
 MAX_PANELS = 4096  # adaptive_gauss splits at most this many panels
 U_MAX = 6.5  # tanh_sinh truncates its u axis to [-U_MAX, U_MAX]
 CHUNK = 2**15  # rows x abscissae per integrand call; keeps the peak memory flat
+_FIRST_BLOCK, _BLOCK = 8, 16  # series terms computed per block, first and later
 _TINY = np.finfo(float).tiny
 
 
@@ -274,9 +281,46 @@ def richardson(values: Sequence[complex], ratio: float) -> complex:
 
 
 def central_derivative(
-    f: Callable[[float], complex], x: float, h: float, levels: int = 2
+    f: Callable[[float], complex], x: float, h: float = 1e-5, levels: int = 2
 ) -> complex:
     """f'(x) from central differences at steps h, h/2, ..., h/2^(levels-1),
     whose errors run in h^2, h^4, ..., Richardson-extrapolated."""
     steps = [h * 0.5**k for k in range(levels)]
     return richardson([(f(x + d) - f(x - d)) / (2.0 * d) for d in steps], 4.0)
+
+
+def sum_series(
+    block: Callable[[np.ndarray], tuple[np.ndarray, int]],
+    scale: complex,
+    ratio: float,
+    prec: Precision,
+    name: str,
+    diag: Diagnostics | None,
+) -> complex:
+    """scale * sum_{n>=1} term(n), where block(ns) returns the terms of a
+    block of consecutive n and the quadrature evaluations spent on them.
+
+    The terms decay like ratio^n, with ratio = |q| < 1; the sum stops once
+    two consecutive scaled terms fall below series_tail_tol (1 - ratio),
+    which bounds the geometric tail by the same tolerance.  Terms computed
+    past the stop are discarded; reaching n_max first warns
+    (TruncationWarning, "<name> hit n_max").  diag, if given, gains the
+    terms summed and the evaluations spent."""
+    diag = diag if diag is not None else Diagnostics()
+    stop = prec.series_tail_tol * (1.0 - ratio)
+    scale_abs = abs(scale)
+    total = 0.0 + 0.0j
+    small = 0
+    n, size = 1, _FIRST_BLOCK
+    while n <= prec.n_max:
+        terms, evals = block(np.arange(n, min(n + size, prec.n_max + 1)))
+        diag.quad_evals += evals
+        for term in terms.tolist():
+            total += term
+            diag.terms_used += 1
+            small = small + 1 if abs(term) * scale_abs < stop else 0
+            if small >= 2:
+                return scale * total
+        n, size = n + len(terms), _BLOCK
+    warnings.warn(f"{name} hit n_max = {prec.n_max}", TruncationWarning, stacklevel=3)
+    return scale * total

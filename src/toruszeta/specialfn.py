@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .domain import DEFAULT_PRECISION, Precision, require_finite
-from .errors import DomainError, PoleError, TruncationWarning
-from .quadrature import QuadResult, adaptive_gauss_rows
+from .errors import DomainError, PoleError
+from .quadrature import QuadResult, adaptive_gauss_rows, sum_series
 
 _POLE_TOL = 1e-12
 
@@ -280,34 +279,17 @@ def dedekind_sum(h: int, k: int) -> float:
 def lambert_series(
     alpha: complex, q: complex, prec: Precision = DEFAULT_PRECISION
 ) -> complex:
-    """sum_{n>=1} n^alpha q^n / (1 - q^n) for |q| < 1.
-
-    Stops once the term bound drops below series_tail_tol and a geometric
-    ratio bounds the remainder below it too; hitting n_max first raises a
-    TruncationWarning.
-    """
+    """sum_{n>=1} n^alpha q^n / (1 - q^n) for |q| < 1, summed by the series
+    driver ``quadrature.sum_series`` at geometric ratio |q|."""
     q = complex(q)
     if abs(q) >= 1.0:
         raise DomainError(f"lambert_series requires |q| < 1, got |q| = {abs(q)}")
     if q == 0:
         return 0.0 + 0.0j
     alpha = complex(alpha)
-    aq = abs(q)
-    total = 0.0 + 0.0j
-    qn = 1.0 + 0.0j
-    for n in range(1, prec.n_max + 1):
-        qn *= q
-        term = n**alpha * qn / (1.0 - qn)
-        total += term
-        bound = abs(term)
-        if bound < prec.series_tail_tol:
-            ratio = aq * ((n + 1.0) / n) ** max(alpha.real, 0.0)
-            if ratio < 1.0 and bound * ratio / (1.0 - ratio) < prec.series_tail_tol:
-                break
-    else:
-        warnings.warn(
-            f"lambert_series hit n_max = {prec.n_max} before the tail bound",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    return total
+
+    def block(ns: np.ndarray) -> tuple[np.ndarray, int]:
+        qn = np.power(q, ns)
+        return cpow(ns, alpha) * qn / (1.0 - qn), 0
+
+    return sum_series(block, 1.0, abs(q), prec, "lambert_series", None)

@@ -16,11 +16,9 @@ Mellin/theta consistency checks that tie everything together.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +39,7 @@ from .quadrature import (
     adaptive_gauss_rows,
     central_derivative,
     richardson,
+    sum_series,
     tanh_sinh,
     tanh_sinh_rows,
 )
@@ -66,23 +65,6 @@ class PairedValue(NamedTuple):
     @property
     def residual(self) -> float:
         return abs(self.series - self.closed_form)
-
-
-@dataclass(frozen=True)
-class ContourIntegrandParams:
-    """One branch of the deformed contour: index n >= 1 with branch point
-    -n tau1 + i n tau2 (always in the upper half-plane)."""
-
-    n: int
-    tau: TauPoint
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DomainError("branch index n must be >= 1")
-
-    @property
-    def branch_point(self) -> complex:
-        return complex(-self.n * self.tau.tau1, self.n * self.tau.tau2)
 
 
 def _check_not_pole(s: complex) -> complex:
@@ -215,45 +197,6 @@ def _cs_main_terms(s: complex, t: TauPoint) -> complex:
 # ------------------------------------------------------------------ remainders
 
 
-_FIRST_BLOCK, _BLOCK = 8, 16  # series terms computed per block, first and later
-
-
-def _sum_series(
-    block: Callable[[np.ndarray], tuple[np.ndarray, int]],
-    scale: complex,
-    tau2: float,
-    prec: Precision,
-    name: str,
-    diag: Diagnostics | None,
-) -> complex:
-    """scale * sum_{n>=1} term(n), where block(ns) returns the terms of a
-    block of consecutive n and the quadrature evaluations spent on them.
-
-    The terms decay like e^(-2 pi n tau2); the sum stops once two consecutive
-    scaled terms fall below series_tail_tol (1 - e^(-2 pi tau2)), which bounds
-    the geometric tail by the same tolerance.  Terms computed past the stop
-    are discarded.  diag, if given, gains the terms summed and the
-    evaluations spent."""
-    diag = diag if diag is not None else Diagnostics()
-    stop = prec.series_tail_tol * (1.0 - math.exp(-2.0 * math.pi * tau2))
-    scale_abs = abs(scale)
-    total = 0.0 + 0.0j
-    small = 0
-    n, size = 1, _FIRST_BLOCK
-    while n <= prec.n_max:
-        terms, evals = block(np.arange(n, min(n + size, prec.n_max + 1)))
-        diag.quad_evals += evals
-        for term in terms.tolist():
-            total += term
-            diag.terms_used += 1
-            small = small + 1 if abs(term) * scale_abs < stop else 0
-            if small >= 2:
-                return scale * total
-        n, size = n + len(terms), _BLOCK
-    warnings.warn(f"{name} hit n_max = {prec.n_max}", TruncationWarning, stacklevel=3)
-    return scale * total
-
-
 def _divisor_bessel_series(
     s: complex, t: TauPoint, prec: Precision, scale: complex = 1.0, diag: Diagnostics | None = None
 ) -> complex:
@@ -267,7 +210,9 @@ def _divisor_bessel_series(
         bessel = k.value * np.exp(-xs)
         return sig * np.cos(2.0 * math.pi * t.tau1 * ns) * bessel * ns ** (s - 0.5), k.n_evals
 
-    return _sum_series(block, scale, t.tau2, prec, "divisor-Bessel series", diag)
+    return sum_series(
+        block, scale, math.exp(-2.0 * math.pi * t.tau2), prec, "divisor-Bessel series", diag
+    )
 
 
 def remainder_bessel(
@@ -345,9 +290,10 @@ def remainder_integral(
         return _branch_integrals(integrand, ns.size, max(2.0, 8.0 - ns[0] * t.tau2), tol, 1e-16)
 
     pref = 2.0 * t.tau2**s * sp / math.pi
-    return require_finite(
-        _sum_series(block, pref, t.tau2, prec, "remainder_integral", diag), "remainder_integral"
+    value = sum_series(
+        block, pref, math.exp(-2.0 * math.pi * t.tau2), prec, "remainder_integral", diag
     )
+    return require_finite(value, "remainder_integral")
 
 
 # ------------------------------------------------------------- E* evaluators
@@ -461,9 +407,7 @@ def zeta_laplacian_deriv0_numeric(
     with one Richardson level; cross-validates the closed form."""
     t = as_tau(tau)
     return central_derivative(
-        lambda sv: zeta_laplacian(complex(sv, 0.0), t, "contour", prec).value.real,
-        0.0,
-        prec.diff_step,
+        lambda sv: zeta_laplacian(complex(sv, 0.0), t, "contour", prec).value.real, 0.0
     )
 
 
@@ -582,23 +526,18 @@ def lambert_q1(
     e^(2 pi i n conj(tau)) so that every exponential decays."""
     t = as_tau(tau)
     series = _divisor_bessel_series(1.0, t, prec).real
-
     z = t.z
-    closed_sum = 0.0 + 0.0j
-    for n in range(1, prec.n_max + 1):
-        e_tau = cmath.exp(2j * math.pi * n * z)            # decays
-        e_conj_neg = cmath.exp(-2j * math.pi * n * z.conjugate())  # decays
-        e_diff = cmath.exp(-4.0 * math.pi * n * t.tau2)    # e^(2 pi i n (tau - conj tau))
+
+    def block(ns: np.ndarray) -> tuple[np.ndarray, int]:
+        e_tau = np.exp(2j * math.pi * z * ns)  # decays
+        e_conj_neg = np.exp(-2j * math.pi * z.conjugate() * ns)  # decays
+        e_diff = np.exp(-4.0 * math.pi * t.tau2 * ns)  # e^(2 pi i n (tau - conj tau))
         num = e_conj_neg - 2.0 * e_diff + e_tau
         den = (e_tau - 1.0) * (1.0 - e_conj_neg)
-        term = num / (den * n)
-        closed_sum += term
-        if abs(term) < 0.25 * prec.series_tail_tol:
-            break
-    else:
-        warnings.warn(
-            f"lambert_q1 closed form hit n_max = {prec.n_max}", TruncationWarning, stacklevel=2
-        )
+        return num / (den * ns), 0
+
+    ratio = math.exp(-2.0 * math.pi * t.tau2)
+    closed_sum = sum_series(block, 1.0, ratio, prec, "lambert_q1 closed form", None)
     closed = -0.25 * t.tau2**-0.5 * closed_sum.real
     return PairedValue(series, closed)
 
@@ -629,7 +568,8 @@ def mellin_remainder_tau_i(
         u_hi = max(4.0, 54.0 - float(ns[0]) ** 2)
         return _branch_integrals(integrand, ns.size, u_hi, tol, 1e-17)
 
-    value = _sum_series(block, 4.0 * sinpi(s) / math.pi, 1.0, prec, "mellin_remainder_tau_i", None)
+    pref = 4.0 * sinpi(s) / math.pi
+    value = sum_series(block, pref, math.exp(-2.0 * math.pi), prec, "mellin_remainder_tau_i", None)
     return require_finite(value, "mellin_remainder_tau_i")
 
 
@@ -743,15 +683,12 @@ def weight_integral_check(
     split = max(1.0, 2.0 * x)
 
     def head(u: np.ndarray) -> np.ndarray:
-        if s.imag == 0.0:
-            return u ** (-s.real) * (u + 2.0 * x) ** (-s.real)
-        return np.exp(-s * (np.log(u) + np.log(u + 2.0 * x)))
+        # two factors, so that neither underflows next to u = 0
+        return cpow(u, -s) * cpow(u + 2.0 * x, -s)
 
     def tail(w: np.ndarray) -> np.ndarray:
         # u = 1/w folds (split, inf) onto (0, 1/split)
-        if s.imag == 0.0:
-            return w ** (2.0 * s.real - 2.0) * (1.0 + 2.0 * x * w) ** (-s.real)
-        return np.exp((2.0 * s - 2.0) * np.log(w) - s * np.log1p(2.0 * x * w))
+        return cpow(w, 2.0 * s - 2.0) * cpow(1.0 + 2.0 * x * w, -s)
 
     quad = (
         tanh_sinh(head, 0.0, split, tol=tol).value

@@ -137,7 +137,6 @@ def test_eval_nonfinite_number_is_usage_error(capsys, argv):
     ("--tol-tail", "inf"),
     ("--tol-quad", "nan"),
     ("--tol-quad", "1"),
-    ("--diff-step", "inf"),
     ("--n-max", "0"),
 ])
 def test_eval_invalid_precision_is_usage_error(capsys, flag, value):

@@ -11,7 +11,6 @@ from toruszeta.eta import eta
 from toruszeta.quadrature import adaptive_gauss, tanh_sinh
 from toruszeta.specialfn import bessel_k, gamma, rgamma, riemann_zeta, sigma
 from toruszeta.torus import (
-    ContourIntegrandParams,
     determinant_torus,
     determinant_torus_numeric,
     eisenstein,
@@ -244,16 +243,6 @@ def test_remainder_integral_domain():
         remainder_integral(1.2, 1j)
 
 
-def test_contour_branch_parameters():
-    from toruszeta.domain import as_tau
-
-    p = ContourIntegrandParams(2, as_tau(0.3 + 1.4j))
-    assert p.branch_point == complex(-0.6, 2.8)
-    assert p.branch_point.imag > 0
-    with pytest.raises(DomainError):
-        ContourIntegrandParams(0, as_tau(1j))
-
-
 def test_remainder_integral_telescopes_at_s_zero():
     # at s = 0 the u-weight is 1 and each n-integral telescopes to the
     # boundary values of the log
@@ -466,8 +455,11 @@ def test_counters_at_half_sum_the_four_evaluations(method, remainder):
         (lambda p: lambert_q1(1j, p), "divisor-Bessel series hit n_max"),
         (lambda p: lambert_q1(1j, p), "lambert_q1 closed form hit n_max"),
         (lambda p: mellin_remainder_tau_i(0.3, p), "mellin_remainder_tau_i hit n_max"),
+        (lambda p: eta(1j, p), "eta product hit n_max"),
     ],
-    ids=["remainder_bessel", "nan_yue_williams", "lambert_series", "lambert_closed", "mellin"],
+    ids=[
+        "remainder_bessel", "nan_yue_williams", "lambert_series", "lambert_closed", "mellin", "eta",
+    ],
 )
 def test_series_cap_warns(call, message):
     with pytest.warns(TruncationWarning, match=message):
@@ -567,7 +559,8 @@ def test_theta_mellin_checks():
 
 
 def test_weight_integral_nine_point_grid():
-    for s in (0.6, 0.75, 0.9):
+    # the complex s takes the complex-power path of cpow
+    for s in (0.6, 0.75, 0.9, 0.75 + 0.5j):
         for x in (0.5, 1.0, 3.0):
             quad, closed = weight_integral_check(s, x)
             assert abs(quad - closed) < 1e-10
