@@ -34,6 +34,7 @@ from .domain import (
 from .errors import DomainError, PoleError, TruncationWarning
 from .eta import eta
 from .quadrature import (
+    CHUNK,
     RowIntegrand,
     adaptive_gauss,
     adaptive_gauss_rows,
@@ -80,32 +81,24 @@ def _check_not_pole(s: complex) -> complex:
 def _square_sum_block(
     s: complex, t: TauPoint, k_lo: int, k_hi: int
 ) -> tuple[complex, int]:
-    """Sum of |m + n tau|^(-2s) over k_lo < max(|m|,|n|) <= k_hi."""
+    """Sum of |m + n tau|^(-2s) over k_lo < max(|m|,|n|) <= k_hi, and its count.
 
-    def block(ms: np.ndarray, ns: np.ndarray) -> complex:
-        mm, nn = np.meshgrid(ms, ns, indexing="ij")
-        r2 = (mm + nn * t.tau1) ** 2 + (nn * t.tau2) ** 2
-        return complex(np.sum(cpow(r2, -s)))
+    -(m + n tau) rounds to the same float as m + n tau, so the shell is summed
+    over one half, the rows n > k_lo plus the columns m > k_lo of the band
+    |n| <= k_lo, and doubled; slabs of rows hold at most CHUNK terms."""
 
-    count = 0
-    total = 0.0 + 0.0j
-    # rows with |n| in (k_lo, k_hi], every |m| <= k_hi
-    n_outer = np.concatenate(
-        [np.arange(k_lo + 1, k_hi + 1), np.arange(-k_hi, -k_lo)]
-    )
-    m_all = np.arange(-k_hi, k_hi + 1)
-    if n_outer.size:
-        total += block(m_all, n_outer)
-        count += n_outer.size * m_all.size
-    # rows with |n| <= k_lo, |m| in (k_lo, k_hi]
-    n_inner = np.arange(-k_lo, k_lo + 1)
-    m_outer = np.concatenate(
-        [np.arange(k_lo + 1, k_hi + 1), np.arange(-k_hi, -k_lo)]
-    )
-    if n_inner.size and m_outer.size:
-        total += block(m_outer, n_inner)
-        count += n_inner.size * m_outer.size
-    return total, count
+    def half(ms: np.ndarray, ns: np.ndarray) -> complex:
+        total = 0.0 + 0.0j
+        step = max(1, CHUNK // ms.size)
+        for i in range(0, ns.size, step):
+            n = ns[i : i + step, None]
+            r2 = (ms + n * t.tau1) ** 2 + (n * t.tau2) ** 2
+            total += complex(np.sum(cpow(r2, -s)))
+        return total
+
+    outer = np.arange(k_lo + 1.0, k_hi + 1.0)
+    total = half(np.arange(-k_hi, k_hi + 1.0), outer) + half(outer, np.arange(-k_lo, k_lo + 1.0))
+    return 2.0 * total, (2 * k_hi + 1) ** 2 - (2 * k_lo + 1) ** 2
 
 
 def eisenstein_direct(
@@ -117,19 +110,24 @@ def eisenstein_direct(
     reasonable time for Re s near 1, so the partial sums at a geometric
     checkpoint ladder are combined with the shell tail's asymptotic expansion
     a K^(2-2s) + b K^(1-2s) + c K^(-2s); the reported err_estimate is the
-    change between the last two extrapolants plus a roundoff allowance.
+    change between the last two extrapolants (with two checkpoints left by
+    n_max, the distance to the first raw partial sum) plus a roundoff allowance.
     """
     s = _check_not_pole(s)
     t = as_tau(tau)
     if not s.real > 1.0:
         raise DomainError("the direct lattice sum requires Re s > 1")
-    ks = (100, 200, 400, 800) if s.real >= 1.75 else (200, 400, 800, 1600)
-    ks = tuple(min(k, prec.n_max) for k in ks)
+    ladder = (100, 200, 400, 800) if s.real >= 1.75 else (200, 400, 800, 1600)
+    ks = tuple(sorted({min(k, prec.n_max) for k in ladder}))
     diag = Diagnostics()
-    if len(set(ks)) < 4:
+    if prec.n_max < ladder[-1]:
         diag.warnings.append(f"checkpoint ladder clipped by n_max = {prec.n_max}")
         warnings.warn("direct-sum ladder clipped by n_max", TruncationWarning, stacklevel=2)
-        ks = tuple(sorted(set(ks)))
+        # a lone checkpoint would make the extrapolant its own check
+        if len(ks) < 2:
+            ks = (prec.n_max // 2, prec.n_max)
+        if ks[0] < 1:
+            raise DomainError("the direct sum needs n_max >= 2 for two checkpoints")
 
     partials = []
     running = 0.0 + 0.0j
@@ -153,12 +151,8 @@ def eisenstein_direct(
         sol = np.linalg.solve(np.array(rows), np.array(rhs))
         return complex(sol[0])
 
-    if len(partials) >= 4:
-        full = extrapolate(partials, 3)
-        check = extrapolate(partials[1:], 2)
-    else:
-        full = extrapolate(partials, len(partials) - 1)
-        check = partials[-1][1]
+    full = extrapolate(partials, len(partials) - 1)
+    check = extrapolate(partials[1:], len(partials) - 2) if len(partials) > 2 else partials[0][1]
     tau2_s = t.tau2**s
     value = tau2_s * full
     err = abs(tau2_s) * (abs(full - check) + 5e-15 * abs(full))

@@ -1,16 +1,18 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toruszeta.domain import DEFAULT_PRECISION, Diagnostics, Precision, Sl2zMatrix
+from toruszeta.domain import DEFAULT_PRECISION, Diagnostics, Precision, Sl2zMatrix, as_tau
 from toruszeta.errors import DomainError, PoleError, TruncationWarning
 from toruszeta.eta import eta
 from toruszeta.quadrature import adaptive_gauss, tanh_sinh
 from toruszeta.specialfn import bessel_k, gamma, rgamma, riemann_zeta, sigma
 from toruszeta.torus import (
+    _square_sum_block,
     determinant_torus,
     determinant_torus_numeric,
     eisenstein,
@@ -91,6 +93,57 @@ def test_direct_truncation_cap_warns():
     with pytest.warns(TruncationWarning):
         res = eisenstein_direct(2.0, 1j, capped)
     assert res.diagnostics.warnings
+
+
+# at s = 3, tau = 0.5+0.6i, n_max = 2 the distance from the extrapolant to the
+# last raw partial sum is half the actual error; n_max = 500 leaves three
+# checkpoints at Re s < 1.75
+@pytest.mark.parametrize("n_max", [2, 50, 150, 300, 500])
+@pytest.mark.parametrize("s, tau", [(2.0, 1j), (3.0, 0.5 + 0.6j), (1.2 + 0.5j, 0.3 + 0.9j)])
+def test_direct_clipped_ladder_error_estimate_bounds_error(s, tau, n_max):
+    with pytest.warns(TruncationWarning):
+        res = eisenstein_direct(s, tau, Precision(n_max=n_max))
+    assert res.err_estimate >= abs(res.value - eisenstein_cs(s, tau).value)
+
+
+def test_direct_needs_two_checkpoints():
+    with pytest.raises(DomainError), pytest.warns(TruncationWarning):
+        eisenstein_direct(2.0, 1j, Precision(n_max=1))
+
+
+def shell_sum_oracle(s: complex, tau: complex, k_lo: int, k_hi: int) -> tuple[complex, int]:
+    """Plain loop over the full shell k_lo < max(|m|,|n|) <= k_hi, summed exactly."""
+    terms = [
+        ((m + n * tau.real) ** 2 + (n * tau.imag) ** 2) ** (-s)
+        for m in range(-k_hi, k_hi + 1)
+        for n in range(-k_hi, k_hi + 1)
+        if max(abs(m), abs(n)) > k_lo
+    ]
+    value = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+    return value, len(terms)
+
+
+# (0, 130) and (20, 200) hold more than one CHUNK = 2^15 terms in one half
+@pytest.mark.parametrize("k_lo, k_hi", [(0, 1), (0, 4), (3, 9), (0, 130), (20, 200)])
+@pytest.mark.parametrize("tau", [1j, 0.3 + 0.9j, -0.4 + 0.7j])
+@pytest.mark.parametrize("s", [2.0, 1.3 + 0.7j])
+def test_square_sum_block_matches_full_shell_loop(s, tau, k_lo, k_hi):
+    got, count = _square_sum_block(complex(s), as_tau(tau), k_lo, k_hi)
+    ref, n_terms = shell_sum_oracle(complex(s), tau, k_lo, k_hi)
+    assert count == n_terms == (2 * k_hi + 1) ** 2 - (2 * k_lo + 1) ** 2
+    assert abs(got - ref) <= 1e-14 * abs(ref)
+
+
+def test_direct_sum_peak_memory_is_flat():
+    # numpy reports its buffers to tracemalloc; one unchunked shell of the
+    # 1600-shell ladder alone takes about 270 MB
+    tracemalloc.start()
+    try:
+        eisenstein_direct(1.2 + 0.5j, 0.3 + 0.9j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # ---------------------------------------------------- Chowla-Selberg series
