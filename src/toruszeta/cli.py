@@ -109,7 +109,7 @@ def _precision_from(args: argparse.Namespace) -> Precision:
 
 def _add_precision_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-quad", type=float, default=DEFAULT_PRECISION.quad_rel_tol,
-                   help="relative quadrature tolerance")
+                   help="relative tolerance of quadrature and of the direct-sum ladder")
     p.add_argument("--tol-tail", type=float, default=DEFAULT_PRECISION.series_tail_tol,
                    help="absolute series tail bound")
     p.add_argument("--n-max", type=int, default=DEFAULT_PRECISION.n_max,

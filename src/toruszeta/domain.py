@@ -13,7 +13,8 @@ from .errors import DomainError, NonFiniteError, NormalizationError
 class Precision:
     """Knobs controlling truncation and quadrature everywhere.
 
-    quad_rel_tol    relative tolerance for adaptive quadrature, in (0, 1)
+    quad_rel_tol    relative tolerance for adaptive quadrature and for the
+                    direct lattice sum's checkpoint ladder, in (0, 1)
     series_tail_tol absolute bound at which exponentially convergent series
                     stop, in (0, 1)
     n_max           hard cap on summation indices (a TruncationWarning is issued

@@ -166,14 +166,14 @@ def _zeta_euler_maclaurin(s: complex) -> complex:
 def riemann_zeta(s: complex) -> complex:
     """Riemann zeta with analytic continuation; PoleError at s = 1.
 
-    Euler-Maclaurin handles Re s >= -1 directly; further left the summation
-    pieces cancel catastrophically in double precision, so the reflection
+    Euler-Maclaurin handles Re s >= -1/2 directly; further left its summation
+    pieces cancel (8e-13 relative error near s = -1), so the reflection
     zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s) is used instead.
     """
     s = complex(s)
     if abs(s - 1.0) < _POLE_TOL:
         raise PoleError("riemann_zeta pole at s = 1")
-    if s.real >= -1.0:
+    if s.real >= -0.5:
         return require_finite(_zeta_euler_maclaurin(s), "riemann_zeta")
     sin_half = sinpi(0.5 * s)
     if sin_half == 0:  # trivial zeros, exactly

@@ -55,6 +55,7 @@ METHODS = ("direct", "chowla_selberg", "contour")
 
 _POLE_TOL = 1e-12
 _HALF_WINDOW = 0.01  # |s - 1/2| below which the two cancelling poles are averaged
+_SUM_ROUNDING = 1e-15  # u: rounding bound of a direct-sum partial sum, relative to it
 
 
 class PairedValue(NamedTuple):
@@ -106,56 +107,65 @@ def eisenstein_direct(
 ) -> EvalResult:
     """E*(s, tau) by direct lattice summation over square shells, Re s > 1.
 
-    Raw shell-by-shell stopping at series_tail_tol is unreachable in
-    reasonable time for Re s near 1, so the partial sums at a geometric
-    checkpoint ladder are combined with the shell tail's asymptotic expansion
-    a K^(2-2s) + b K^(1-2s) + c K^(-2s); the reported err_estimate is the
-    change between the last two extrapolants (with two checkpoints left by
-    n_max, the distance to the first raw partial sum) plus a roundoff allowance.
+    The shell max(|m|,|n|) <= K is a midpoint rule on [-N, N]^2, N = K + 1/2,
+    so its partial sum is S(K) = E - a N^(2-2s) - b N^(-2s) - c N^(-2s-2) - ...,
+    with only even gaps past the singular term (Lyness, Math. Comp. 30 (1976) 1).
+    Partial sums at K = 20, 40, 80, ... are fitted to the first three terms:
+    from the fifth checkpoint on, the fit through the last four is checked
+    against the fit through the four before, and the ladder stops once they
+    agree to quad_rel_tol.  err_estimate is their difference plus the
+    rounding of the partial sums (u = _SUM_ROUNDING each) carried through the fit.
+    If n_max stops the ladder before five checkpoints, every checkpoint is
+    fitted and checked against the fit without the first (with two, against
+    the first raw partial sum).
     """
     s = _check_not_pole(s)
     t = as_tau(tau)
     if not s.real > 1.0:
         raise DomainError("the direct lattice sum requires Re s > 1")
-    ladder = (100, 200, 400, 800) if s.real >= 1.75 else (200, 400, 800, 1600)
-    ks = tuple(sorted({min(k, prec.n_max) for k in ladder}))
-    diag = Diagnostics()
-    if prec.n_max < ladder[-1]:
-        diag.warnings.append(f"checkpoint ladder clipped by n_max = {prec.n_max}")
-        warnings.warn("direct-sum ladder clipped by n_max", TruncationWarning, stacklevel=2)
-        # a lone checkpoint would make the extrapolant its own check
-        if len(ks) < 2:
-            ks = (prec.n_max // 2, prec.n_max)
-        if ks[0] < 1:
-            raise DomainError("the direct sum needs n_max >= 2 for two checkpoints")
 
-    partials = []
+    def fit(points: list[tuple[int, complex]]) -> tuple[complex, float]:
+        """E = sum_i w_i S_i through every point, and its rounding sum |w| max |S| u.
+
+        With b_j = a_j N_last^p_j, S_i - S_last = -sum_j b_j ((N_i/N_last)^p_j - 1) and
+        E = S_last + sum_j b_j; expm1 keeps the p = 2 - 2s column exact as s -> 1."""
+        n = np.array([k for k, _ in points]) + 0.5
+        logs = np.log(n[:-1] / n[-1])
+        g = np.column_stack([np.expm1((2.0 - 2.0 * s - 2.0 * j) * logs) for j in range(len(logs))])
+        v = np.linalg.solve(g.T, np.ones(len(logs)))
+        vals = np.array([val for _, val in points])
+        weights = np.abs(v).sum() + abs(1.0 + v.sum())  # |first row of the fit's inverse|
+        value = vals[-1] - v @ (vals[:-1] - vals[-1])
+        return complex(value), float(weights * np.abs(vals).max()) * _SUM_ROUNDING
+
+    diag = Diagnostics()
+    stopped = "direct-sum ladder stopped by n_max"
+    if prec.n_max < 2:
+        warnings.warn(stopped, TruncationWarning, stacklevel=2)
+        raise DomainError("the direct sum needs n_max >= 2 for two checkpoints")
+    partials: list[tuple[int, complex]] = []
     running = 0.0 + 0.0j
-    prev_k = 0
-    for k in ks:
-        blk, cnt = _square_sum_block(s, t, prev_k, k)
+    k = 20 if prec.n_max > 20 else prec.n_max // 2  # a lone checkpoint is its own check
+    while True:
+        blk, cnt = _square_sum_block(s, t, partials[-1][0] if partials else 0, k)
         running += blk
         diag.terms_used += cnt
         partials.append((k, running))
-        prev_k = k
-
-    def extrapolate(points: list[tuple[int, complex]], n_terms: int) -> complex:
-        rows = []
-        rhs = []
-        for k, val in points:
-            row = [1.0 + 0.0j]
-            for j in range(n_terms):
-                row.append(-complex(k) ** (2.0 - 2.0 * s - j))
-            rows.append(row)
-            rhs.append(val)
-        sol = np.linalg.solve(np.array(rows), np.array(rhs))
-        return complex(sol[0])
-
-    full = extrapolate(partials, len(partials) - 1)
-    check = extrapolate(partials[1:], len(partials) - 2) if len(partials) > 2 else partials[0][1]
+        if len(partials) >= 5:
+            (full, rounding), (check, _) = fit(partials[-4:]), fit(partials[-5:-1])
+            if abs(full - check) <= prec.quad_rel_tol * abs(full):
+                break
+        elif len(partials) > 1:
+            full, rounding = fit(partials)
+            check = fit(partials[1:])[0] if len(partials) > 2 else partials[0][1]
+        if k == prec.n_max:  # never the first checkpoint
+            diag.warnings.append(f"checkpoint ladder stopped by n_max = {prec.n_max}")
+            warnings.warn(stopped, TruncationWarning, stacklevel=2)
+            break
+        k = min(2 * k, prec.n_max)
     tau2_s = t.tau2**s
     value = tau2_s * full
-    err = abs(tau2_s) * (abs(full - check) + 5e-15 * abs(full))
+    err = abs(tau2_s) * (abs(full - check) + rounding)
     return EvalResult(require_finite(value, "eisenstein_direct"), err, "direct", diag)
 
 

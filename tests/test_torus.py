@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -96,9 +97,10 @@ def test_direct_truncation_cap_warns():
 
 
 # at s = 3, tau = 0.5+0.6i, n_max = 2 the distance from the extrapolant to the
-# last raw partial sum is half the actual error; n_max = 500 leaves three
-# checkpoints at Re s < 1.75
-@pytest.mark.parametrize("n_max", [2, 50, 150, 300, 500])
+# last raw partial sum is half the actual error; n_max = 2 and 3 leave two and
+# three checkpoints from K = 1, 50 leaves three (20, 40, 50) and 100 and 150
+# four, all short of the five that the stop rule needs
+@pytest.mark.parametrize("n_max", [2, 3, 50, 100, 150])
 @pytest.mark.parametrize("s, tau", [(2.0, 1j), (3.0, 0.5 + 0.6j), (1.2 + 0.5j, 0.3 + 0.9j)])
 def test_direct_clipped_ladder_error_estimate_bounds_error(s, tau, n_max):
     with pytest.warns(TruncationWarning):
@@ -109,6 +111,88 @@ def test_direct_clipped_ladder_error_estimate_bounds_error(s, tau, n_max):
 def test_direct_needs_two_checkpoints():
     with pytest.raises(DomainError), pytest.warns(TruncationWarning):
         eisenstein_direct(2.0, 1j, Precision(n_max=1))
+
+
+def test_direct_ladder_cut_past_five_checkpoints_warns_and_bounds_error():
+    # at s = 1.001 the ladder needs K = 640; n_max = 300 cuts it at 20, ..., 160, 300
+    with pytest.warns(TruncationWarning):
+        res = eisenstein_direct(1.001, 1j, Precision(n_max=300))
+    assert res.err_estimate >= abs(res.value - eisenstein_cs(1.001, 1j).value)
+
+
+def test_direct_warns_only_when_n_max_stops_the_ladder():
+    # at s = 2, tau = i the fits through 20..160 and 40..320 agree, so an
+    # n_max at the fifth checkpoint does not stop the ladder
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        capped = eisenstein_direct(2.0, 1j, Precision(n_max=320))
+    assert capped.value == eisenstein_direct(2.0, 1j).value
+    assert not capped.diagnostics.warnings
+
+
+def e_star_mpmath(s: complex, tau: complex) -> complex:
+    """E*(s, tau) in 20-digit arithmetic: the Chowla-Selberg series on the
+    point reduced to the fundamental domain, where a few mpmath K_nu terms
+    suffice (E* is SL(2, Z)-invariant)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(20):
+        z = mp.mpc(tau)
+        while True:
+            z -= mp.nint(z.real)
+            if abs(z) >= 1:
+                break
+            z = -1 / z
+        ms, t1, t2 = mp.mpc(s), z.real, z.imag
+        head = 2 * t2**ms * mp.zeta(2 * ms) + (
+            2 * mp.sqrt(mp.pi) * t2 ** (1 - ms) * mp.gamma(ms - 0.5) * mp.zeta(2 * ms - 1)
+            * mp.rgamma(ms)
+        )
+        series = mp.mpf(0)
+        for n in range(1, 200):
+            sig = mp.fsum(mp.mpf(d) ** (1 - 2 * ms) for d in range(1, n + 1) if n % d == 0)
+            term = (sig * mp.cos(2 * mp.pi * n * t1) * mp.besselk(0.5 - ms, 2 * mp.pi * n * t2)
+                    * mp.mpf(n) ** (ms - 0.5))
+            series += term
+            if abs(term) < mp.eps * max(abs(series), 1) and n > 2:
+                break
+        return complex(head + 8 * mp.pi**ms * mp.sqrt(t2) * mp.rgamma(ms) * series)
+
+
+# a fit in K^(2-2s-j) on a fixed ladder to K = 1600 erred by up to 5.1e-10 at
+# these points; 54/37 + 9i/37 is the TST^-2 image of 0.3+0.9i; a fixed ladder
+# of 40..320 with no stop rule erred by 4.2e-8 at the skewed last point
+@pytest.mark.parametrize(
+    "s, tau",
+    [
+        (1.001, 1j),
+        (1.01, 1j),
+        (1.05, 0.1 + 1.3j),
+        (1.2 + 0.5j, 0.3 + 0.9j),
+        (3.0 + 1j, 0.5 + 0.6j),
+        (2.0, complex(54 / 37, 9 / 37)),
+        (1.2 + 0.5j, complex(54 / 37, 9 / 37)),
+        (1.6315, -2.9213 + 0.1360j),
+    ],
+)
+def test_direct_matches_mpmath(s, tau):
+    ref = e_star_mpmath(s, tau)
+    res = eisenstein_direct(s, tau)
+    assert abs(res.value - ref) <= 1e-13 * abs(ref)
+    assert res.err_estimate >= abs(res.value - ref)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.floats(min_value=1.02, max_value=3.5),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=0.05, max_value=5.0),
+)
+def test_direct_error_estimate_bounds_mpmath_error(re, im, tau1, tau2):
+    s, tau = complex(re, im), complex(tau1, tau2)
+    ref = e_star_mpmath(s, tau)
+    res = eisenstein_direct(s, tau)
+    assert res.err_estimate >= abs(res.value - ref)
 
 
 def shell_sum_oracle(s: complex, tau: complex, k_lo: int, k_hi: int) -> tuple[complex, int]:
@@ -135,11 +219,24 @@ def test_square_sum_block_matches_full_shell_loop(s, tau, k_lo, k_hi):
 
 
 def test_direct_sum_peak_memory_is_flat():
-    # numpy reports its buffers to tracemalloc; one unchunked shell of the
-    # 1600-shell ladder alone takes about 270 MB
+    # numpy reports its buffers to tracemalloc; the ladder stops at K = 320
+    # here, where an unchunked shell would take only about 4 MB, so the
+    # long-ladder test below is the one that catches it
     tracemalloc.start()
     try:
         eisenstein_direct(1.2 + 0.5j, 0.3 + 0.9j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_direct_sum_peak_memory_is_flat_on_a_long_ladder():
+    # the ladder runs to K = 2560 on this skewed lattice; unchunked, its last
+    # shell takes about 105 MB
+    tracemalloc.start()
+    try:
+        eisenstein_direct(1.6315, -2.9213 + 0.1360j)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
