@@ -14,7 +14,6 @@ from .errors import (
     DomainError,
     NonFiniteError,
     NormalizationError,
-    OdeToleranceError,
     PoleError,
     SpectrumError,
     TruncationWarning,
@@ -22,12 +21,10 @@ from .errors import (
 )
 from .eta import eta, eta_multiplier, eta_transform_check, fundamental_domain_reduce
 from .operator1d import (
-    IvpSolution,
     OperatorSpec,
     log_det,
     log_det_numeric,
     mellin_gamma_zeta_check,
-    shooting_solution,
     zeta_operator,
     zeta_p,
     zeta_p_functional_equation,

@@ -21,7 +21,7 @@ import sys
 from typing import Any
 
 from .domain import DEFAULT_PRECISION, Precision, TauPoint
-from .errors import DomainError, NonFiniteError, NormalizationError, OdeToleranceError
+from .errors import DomainError, NonFiniteError, NormalizationError
 from .eta import eta
 from .identities import SuiteReport, run_suite
 from .operator1d import OperatorSpec, log_det, log_det_numeric, zeta_p
@@ -421,7 +421,6 @@ def main(argv: list[str] | None = None) -> int:
         DomainError,
         NormalizationError,
         NonFiniteError,
-        OdeToleranceError,
         OverflowError,
         ZeroDivisionError,
     ) as exc:

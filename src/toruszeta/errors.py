@@ -13,10 +13,6 @@ class NormalizationError(ValueError):
     """An integer matrix is not unimodular or not in the normalized orientation."""
 
 
-class OdeToleranceError(RuntimeError):
-    """The initial-value integrator failed to meet the requested tolerance."""
-
-
 class ZeroModeError(DomainError):
     """The operator has a (numerically) vanishing ground mode, so log det is undefined."""
 

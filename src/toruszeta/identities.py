@@ -22,7 +22,7 @@ from .operator1d import (
     log_det,
     log_det_numeric,
     mellin_gamma_zeta_check,
-    shooting_solution,
+    transfer,
     zeta_operator,
     zeta_p_functional_equation,
 )
@@ -472,7 +472,7 @@ def registry() -> list[IdentityCheck]:
         "u_lambda(1) = sin(sqrt(lambda))/sqrt(lambda) for V = 0",
         1e-10, False,
         lambda prec: (
-            shooting_solution(free, 2.5, prec).u_at_1,
+            complex(transfer(free, [-2.5], prec)[0][0]),
             complex(math.sin(math.sqrt(2.5)) / math.sqrt(2.5)),
         ),
     ))

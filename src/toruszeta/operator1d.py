@@ -19,8 +19,9 @@ In particular zeta(0) = -1/2 always and zeta'(0) = -log(2 u_0(1)).
 
 u_(-t)(1) comes for all quadrature nodes at once from a sixth-order Magnus
 propagator (``transfer``), which also carries (u_(-t)(1) - u_0(1))/t, so the
-head integrand is formed without cancellation.  ``shooting_solution`` (scipy
-DOP853) serves complex lambda and is the reference the propagator is tested on.
+head integrand is formed without cancellation.  It is the package's only ODE
+solver: it takes real t in float arithmetic and complex t (complex lambda)
+in complex arithmetic, and it needs nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp as _scipy_solve_ivp
 
 from .domain import (
     DEFAULT_PRECISION,
@@ -43,7 +43,6 @@ from .domain import (
 from .errors import (
     DomainError,
     NonFiniteError,
-    OdeToleranceError,
     PoleError,
     SpectrumError,
     TruncationWarning,
@@ -77,36 +76,10 @@ class OperatorSpec:
         self._mean_v = 0.5 * float(np.dot(w, [float(self.potential(0.5 + 0.5 * xi)) for xi in x]))
 
 
-@dataclass(frozen=True)
-class IvpSolution:
-    lam: complex
-    u_at_1: complex
-    du_at_1: complex
-
-
-def shooting_solution(
-    spec: OperatorSpec, lam: complex, prec: Precision = DEFAULT_PRECISION
-) -> IvpSolution:
-    """Solve (O - lambda) u = 0 with u(0) = 0, u'(0) = 1 by scipy's DOP853, in
-    complex arithmetic, and return u(1), u'(1)."""
-    lam = complex(lam)
-    v = spec.potential
-    sol = _scipy_solve_ivp(
-        lambda x, y: np.array([y[1], (v(x) - lam) * y[0]]),
-        (0.0, 1.0),
-        np.array([0.0j, 1.0 + 0.0j]),
-        method="DOP853",
-        rtol=max(1e-13, 0.01 * prec.quad_rel_tol),
-        atol=1e-14,
-    )
-    if not sol.success:
-        raise OdeToleranceError(f"IVP integration failed: {sol.message}")
-    return IvpSolution(lam, complex(sol.y[0, -1]), complex(sol.y[1, -1]))
-
-
 _GAUSS3 = math.sqrt(15.0) / 10.0  # the outer 3-point Gauss nodes sit at 1/2 -+ this
 _CHUNK = 2**12  # t values x steps propagated at once; keeps the peak memory flat
 _TAIL_CUT = 400.0  # upper end of the numerically integrated lambda range
+_PROBES = np.array([0.0, _TAIL_CUT])  # where the step count is fitted
 
 
 def _magnus_steps(v: Callable[[float], float], n: int) -> tuple[np.ndarray, ...]:
@@ -178,14 +151,13 @@ def _propagate(steps: tuple[np.ndarray, ...], ts: np.ndarray) -> tuple[np.ndarra
 
 
 def _propagator(
-    spec: OperatorSpec, prec: Precision
+    spec: OperatorSpec, prec: Precision, probes: np.ndarray = _PROBES
 ) -> Callable[[np.ndarray], tuple[np.ndarray, ...]]:
     """ts -> _propagate(steps, ts) with V sampled once.  The step count doubles
-    from 16 until u(1) at n and 2n steps agree, at t = 0 and t = _TAIL_CUT, to
-    the quadrature tolerance relative to |u| + |u'|/sqrt(1 + t), which stays
+    from 16 until u(1) at n and 2n steps agree, at each t of probes, to the
+    quadrature tolerance relative to |u| + |u'|/sqrt(1 + |t|), which stays
     finite at a zero mode; n is capped at prec.n_max."""
     tol = max(1e-13, 0.1 * prec.quad_rel_tol)
-    probes = np.array([0.0, _TAIL_CUT])
     n = min(16, 1 << (prec.n_max.bit_length() - 1))
     steps = _magnus_steps(spec.potential, n)
     u = _propagate(steps, probes)[0]
@@ -194,7 +166,8 @@ def _propagator(
     while 2 * n <= prec.n_max:
         finer = _magnus_steps(spec.potential, 2 * n)
         u2, du2, _ = _propagate(finer, probes)
-        if np.max(np.abs(u - u2) / (np.abs(u2) + np.abs(du2) / np.sqrt(1.0 + probes))) <= tol:
+        scale = np.abs(u2) + np.abs(du2) / np.sqrt(1.0 + np.abs(probes))
+        if np.max(np.abs(u - u2) / scale) <= tol:
             break
         n, steps, u = 2 * n, finer, u2
     else:
@@ -212,10 +185,22 @@ def transfer(
     spec: OperatorSpec, ts: np.ndarray, prec: Precision = DEFAULT_PRECISION
 ) -> tuple[np.ndarray, np.ndarray]:
     """u_t(1) and w_t = (u_t(1) - u_0(1))/t, w_0 = d u_t(1)/dt at 0, for each t
-    of ts, where u'' = (V + t) u, u(0) = 0, u'(0) = 1: lambda = -t.  The step
-    count is fitted to 0 <= t <= _TAIL_CUT, the range zeta_operator uses."""
-    u, _, w = _propagator(spec, prec)(np.asarray(ts, dtype=float).ravel())
+    of ts, where u'' = (V + t) u, u(0) = 0, u'(0) = 1: lambda = -t.
+
+    Real ts run in float arithmetic, complex ts in complex.  The step count is
+    fitted at t = 0 and t = _TAIL_CUT, the range zeta_operator uses, and also
+    at the t of largest modulus when that lies beyond _TAIL_CUT."""
+    ts = np.asarray(ts, dtype=complex if np.iscomplexobj(ts) else float).ravel()
+    far = ts[np.argmax(np.abs(ts))] if ts.size else 0.0
+    probes = np.append(_PROBES, far) if abs(far) > _TAIL_CUT else _PROBES
+    u, _, w = _propagator(spec, prec, probes)(ts)
     return u, w
+
+
+# A name the benchmark tracer looks up; nothing calls it.  It stays only until
+# ROADMAP item 1 drops that lookup.
+def _scipy_solve_ivp() -> None:
+    pass
 
 
 def _require_positive(u: np.ndarray, ts: np.ndarray) -> np.ndarray:

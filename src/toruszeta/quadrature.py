@@ -48,8 +48,18 @@ RowIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]  # f(x, rows)
 MAX_PANELS = 4096  # adaptive_gauss splits at most this many panels
 U_MAX = 6.5  # tanh_sinh truncates its u axis to [-U_MAX, U_MAX]
 CHUNK = 2**15  # rows x abscissae per integrand call; keeps the peak memory flat
+
 _FIRST_BLOCK, _BLOCK = 8, 16  # series terms computed per block, first and later
 _TINY = np.finfo(float).tiny
+
+# glibc gives freed heap back to the OS once its top free block passes a trim
+# threshold that starts at 128 KB and rises only when a larger mmapped block
+# is freed.  The chunked direct sum and the Magnus propagator free several
+# blocks of 100 KB to 512 KB per call, which would otherwise be returned and
+# faulted back in every time: per benchmark pass 4e4 minor page faults and
+# a tenth of the wall time on operator_det, 1.7e4 and a fifth on
+# lattice_direct (2-vCPU VM).  Freeing one 1 MB block raises the threshold.
+np.empty(1 << 17)
 
 
 @lru_cache(maxsize=64)

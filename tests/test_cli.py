@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -306,3 +310,21 @@ def test_out_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == EXIT_OK
     assert target.read_text() == GOLDEN_ZETA_P_ZERO
+
+
+def test_runtime_never_imports_scipy():
+    # scipy is a test-only dependency: the package, the CLI and the whole
+    # identity suite run on numpy alone
+    code = (
+        "import sys, toruszeta, toruszeta.cli\n"
+        "from toruszeta.identities import run_suite\n"
+        "run_suite()\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

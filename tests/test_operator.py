@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from toruszeta import operator1d
 from toruszeta.domain import Precision
@@ -20,7 +19,6 @@ from toruszeta.operator1d import (
     log_det,
     log_det_numeric,
     mellin_gamma_zeta_check,
-    shooting_solution,
     transfer,
     zeta_operator,
     zeta_p,
@@ -34,30 +32,43 @@ def free_spec() -> OperatorSpec:
     return OperatorSpec(lambda x: 0.0, "free")
 
 
+def dop853(v, lam: complex) -> complex:
+    """u(1) of u'' = (V - lam) u, u(0) = 0, u'(0) = 1 by scipy's DOP853 in
+    complex arithmetic: the independent oracle for the Magnus propagator."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    lam = complex(lam)
+    sol = solve_ivp(
+        lambda x, y: np.array([y[1], (v(x) - lam) * y[0]]),
+        (0.0, 1.0), np.array([0.0j, 1.0 + 0.0j]), method="DOP853", rtol=1e-13, atol=1e-14,
+    )
+    assert sol.success, sol.message
+    return complex(sol.y[0, -1])
+
+
+def u_at_1(spec: OperatorSpec, lam: complex) -> complex:
+    return complex(transfer(spec, [-lam])[0][0])
+
+
 # ------------------------------------------------------------- IVP solution
 
 
 def test_ivp_free_first_eigenvalue():
-    sol = shooting_solution(free_spec(), math.pi**2)
-    assert abs(sol.u_at_1) < 1e-11
+    assert abs(u_at_1(free_spec(), math.pi**2)) < 1e-11
 
 
 def test_ivp_free_closed_form():
-    sol = shooting_solution(free_spec(), 2.5)
-    assert abs(sol.u_at_1 - math.sin(math.sqrt(2.5)) / math.sqrt(2.5)) < 1e-12
+    assert abs(u_at_1(free_spec(), 2.5) - math.sin(math.sqrt(2.5)) / math.sqrt(2.5)) < 1e-12
 
 
 def test_ivp_constant_potential_closed_form():
     spec = OperatorSpec(lambda x: 4.0, "c4")
-    sol = shooting_solution(spec, 0.0)
-    assert abs(sol.u_at_1 - math.sinh(2.0) / 2.0) < 1e-12
+    assert abs(u_at_1(spec, 0.0) - math.sinh(2.0) / 2.0) < 1e-12
 
 
 def test_ivp_complex_lambda():
     lam = 1.5 + 2.0j
-    sol = shooting_solution(free_spec(), lam)
     root = cmath.sqrt(lam)
-    assert abs(sol.u_at_1 - cmath.sin(root) / root) < 1e-11
+    assert abs(u_at_1(free_spec(), lam) - cmath.sin(root) / root) < 1e-11
 
 
 # --------------------------------------------------- batched propagator
@@ -79,7 +90,7 @@ T_NODES = np.array([0.0, 1e-10, 1e-4, 0.3, 1.0, 7.0, 50.0, 200.0, 400.0])
 def test_transfer_matches_dop853(name):
     spec = OperatorSpec(FAMILIES[name], name)
     u, w = transfer(spec, T_NODES)
-    oracle = np.array([shooting_solution(spec, -t).u_at_1.real for t in T_NODES])
+    oracle = np.array([dop853(FAMILIES[name], -t).real for t in T_NODES])
     assert np.max(np.abs(np.log(u) - np.log(oracle))) < 1e-11
     # away from t = 0 the oracle's own divided difference is accurate
     moderate = slice(3, 6)
@@ -94,6 +105,7 @@ def test_transfer_matches_dop853(name):
 def test_transfer_slope_at_zero_matches_variational_system(name):
     # v = du/dlambda solves v'' = V v - u, v(0) = v'(0) = 0; d/dt = -d/dlambda
     v_pot = FAMILIES[name]
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     sol = solve_ivp(
         lambda x, y: [y[1], v_pot(x) * y[0], y[3], v_pot(x) * y[2] - y[0]],
         (0.0, 1.0), [0.0, 1.0, 0.0, 0.0], method="DOP853", rtol=1e-13, atol=1e-14,
@@ -102,6 +114,35 @@ def test_transfer_slope_at_zero_matches_variational_system(name):
     assert abs(u[0] - sol.y[0, -1]) < 1e-11 * abs(u[0])
     assert abs(w[0] + sol.y[2, -1]) < 1e-10 * abs(w[0])
     assert abs(w[1] / w[0] - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("name", ["sin", "exp-2"])
+def test_transfer_complex_lambda_matches_dop853(name):
+    lams = np.array([3.0 + 4.0j, 30.0 - 10.0j, 50.0 + 20.0j])
+    u, _ = transfer(OperatorSpec(FAMILIES[name], name), -lams)
+    oracle = np.array([dop853(FAMILIES[name], lam) for lam in lams])
+    assert np.max(np.abs(u / oracle - 1.0)) < 1e-11
+
+
+@pytest.mark.parametrize("t", [20000.0, -20000.0])
+def test_transfer_fits_step_count_to_largest_t(monkeypatch, t):
+    # far past the t <= 400 that zeta_operator integrates over, a step count
+    # fitted there alone leaves errors of 3e-11 (t = 20000) and 6e-11
+    # (lambda = 20000)
+    v = FAMILIES["sin"]
+    spec = OperatorSpec(v, "sin")
+    magnus_steps, sizes = operator1d._magnus_steps, []
+
+    def recorded(v, n):
+        sizes.append(n)
+        return magnus_steps(v, n)
+
+    monkeypatch.setattr(operator1d, "_magnus_steps", recorded)
+    u, _ = transfer(spec, [t])
+    n = sizes[-1] // 2  # the last doubling tried is the one that agreed
+    ref, dref, _ = operator1d._propagate(magnus_steps(v, 8 * n), np.array([t]))
+    scale = abs(ref[0]) + abs(dref[0]) / math.sqrt(1.0 + abs(t))
+    assert abs(u[0] - ref[0]) < 1e-13 * scale
 
 
 def test_transfer_step_cap_warns():
