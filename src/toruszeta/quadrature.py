@@ -11,10 +11,13 @@ before its tolerance is met:
 
 Each has one core, ``adaptive_gauss_rows`` and ``tanh_sinh_rows``, that
 integrates a stack of integrands sharing their abscissae (the n-terms of a
-series, say) in one pass.  A stacked integrand f(x, rows) returns the rows
-asked for (an index array) as stacked rows, shape (len(rows), len(x)); every
-row meets its own tolerance, and no call of f sees more than CHUNK
-rows x abscissae.  The public functions are their one-row cases.
+series, say) in one pass.  Every Gauss integral but the fixed 32-point
+mean of V in ``OperatorSpec``, the lambda tail of the operator zeta function
+included, goes through ``adaptive_gauss_rows``.  A stacked integrand
+f(x, rows) returns the rows asked for (an index array) as stacked rows,
+shape (len(rows), len(x)); every row meets its own tolerance, and no call
+of f sees more than CHUNK rows x abscissae.  The public functions are their
+one-row cases.
 
 Every numerical derivative and limit goes through ``richardson`` and the
 ``central_derivative`` built on it.

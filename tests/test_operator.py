@@ -24,7 +24,7 @@ from toruszeta.operator1d import (
     zeta_p,
     zeta_p_functional_equation,
 )
-from toruszeta.quadrature import tanh_sinh
+from toruszeta.quadrature import _leggauss, adaptive_gauss, tanh_sinh
 from toruszeta.specialfn import riemann_zeta, sinpi
 
 
@@ -145,6 +145,12 @@ def test_transfer_fits_step_count_to_largest_t(monkeypatch, t):
     assert abs(u[0] - ref[0]) < 1e-13 * scale
 
 
+def test_transfer_empty_ts():
+    for ts in (np.array([]), np.array([], complex)):
+        u, w = transfer(free_spec(), ts)
+        assert u.shape == w.shape == (0,) and u.dtype == w.dtype == ts.dtype
+
+
 def test_transfer_step_cap_warns():
     spec = OperatorSpec(FAMILIES["sin"], "sin")
     with pytest.warns(TruncationWarning, match="Magnus step count hit n_max"):
@@ -159,6 +165,19 @@ def test_zeta_call_order_independent():
     assert zeta_operator(spec, 0.3).value == zeta_operator(fresh, 0.3).value
 
 
+def traced_tail(monkeypatch) -> list:
+    """Record (integrand, a, b, QuadResult) of each adaptive_gauss call that
+    zeta_operator makes: its lambda tail in x = log lambda."""
+    calls = []
+
+    def traced(f, a, b, **kwargs):
+        calls.append((f, a, b, adaptive_gauss(f, a, b, **kwargs)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(operator1d, "adaptive_gauss", traced)
+    return calls
+
+
 def test_zeta_free_converges_and_counts_every_node(monkeypatch):
     heads = []
 
@@ -167,15 +186,60 @@ def test_zeta_free_converges_and_counts_every_node(monkeypatch):
         return heads[-1]
 
     monkeypatch.setattr(operator1d, "tanh_sinh", traced_tanh_sinh)
+    tails = traced_tail(monkeypatch)
     for s in (0.7, 0.95):
         heads.clear()
+        tails.clear()
         got = zeta_operator(free_spec(), s)
         want = math.pi ** (-2.0 * s) * riemann_zeta(2.0 * s).real
         assert abs(got.value - want) < 1e-12
-        (head,) = heads
+        (head,), ((_, _, _, tail),) = heads, tails
         assert head.err_estimate <= 1e-13 * max(1.0, abs(head.value))  # not the level cap
-        # the tail: 24 + 32 Gauss nodes on each of [1, 2], [2, 4], ..., [256, 400]
-        assert got.diagnostics.quad_evals == head.n_evals + 9 * (24 + 32)
+        assert got.diagnostics.quad_evals == head.n_evals + tail.n_evals
+
+
+# the seven potentials of the tail checks; V = 0 takes the closed-form tail
+TAIL_POTENTIALS = {
+    "free": lambda x: 0.0,
+    "const4": lambda x: 4.0,
+    "const-8": lambda x: -8.0,
+    "poly": lambda x: -3.0 * x * x + 2.0 * x - 1.0,
+    "sin": lambda x: -4.0 * math.sin(3.0 * x + 3.0),
+    "exp": lambda x: 1.7 * math.exp(-1.2 * x),
+    "vxx": lambda x: x * (1.0 - x),
+}
+TAIL_S = [-0.45, -1e-5, 1e-5, 0.7, 0.95, 0.9 - 5j]
+
+
+def fine_gauss(f, a: float, b: float) -> complex:
+    """48-point Gauss-Legendre on 60 equal panels of [a, b]: geometric panels
+    in lambda."""
+    x, w = _leggauss(48)
+    edges = np.linspace(a, b, 61)
+    mid, half = (edges[1:] + edges[:-1])[:, None] / 2.0, (edges[1:] - edges[:-1])[:, None] / 2.0
+    return complex(np.sum(half * w * f((mid + half * x).ravel()).reshape(60, -1)))
+
+
+@pytest.mark.parametrize("s", TAIL_S, ids=str)
+@pytest.mark.parametrize("name", sorted(TAIL_POTENTIALS))
+def test_zeta_tail_estimate_bounds_error_without_runaway(monkeypatch, name, s):
+    tails = traced_tail(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        zeta_operator(OperatorSpec(TAIL_POTENTIALS[name], name), s)
+    ((f, a, b, tail),) = tails
+    # h = log u + log(2 sqrt t) - sqrt t cancels terms of size sqrt t, so each
+    # integrand value carries a rounding of about eps sqrt(t) |t^-s|, and no
+    # rule gets closer than its integral, 2 eps int_a^b e^((1/2 - Re s) x) dx
+    p = 0.5 - complex(s).real
+    rounding = 2.0 * np.finfo(float).eps * (math.exp(p * b) - math.exp(p * a)) / p
+    assert abs(tail.value - fine_gauss(f, a, b)) <= tail.err_estimate + rounding
+    # a tail that chased the propagator's rounding would run to MAX_PANELS
+    # and warn; a fixed 24/32-point Gauss pair on nine geometric panels, 504
+    # nodes, already reaches this accuracy.  At 0.9-5i the head stops at its
+    # level cap and warns.
+    assert tail.n_evals <= 504
+    assert isinstance(s, complex) or not caught, [str(w.message) for w in caught]
 
 
 @pytest.mark.parametrize("v, mean", [
@@ -271,20 +335,28 @@ def test_det_numeric_cross_check_free():
     assert abs(log_det_numeric(free_spec()) - math.log(2.0)) < 1e-6
 
 
+# log_det and zeta_operator refuse an operator by one shared check of u_0(1)
+DETERMINANT_AND_ZETA = (log_det, lambda spec: zeta_operator(spec, 0.3))
+
+
 def test_zero_mode_rejected():
-    # V = -pi^2 puts the first Dirichlet eigenvalue exactly at zero; the step
-    # count still converges, so no TruncationWarning comes first
-    spec = OperatorSpec(lambda x: -math.pi**2, "zero-mode")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ZeroModeError):
-            log_det(spec)
+    # V = -pi^2 puts the first Dirichlet eigenvalue exactly at zero, and
+    # -pi^2 +- 1e-8 within 1e-8 of it; the step count still converges, so no
+    # TruncationWarning comes first
+    for shift in (0.0, 1e-8, -1e-8):
+        spec = OperatorSpec(lambda x, c=shift - math.pi**2: c, "zero-mode")
+        for call in DETERMINANT_AND_ZETA:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ZeroModeError):
+                    call(spec)
 
 
 def test_negative_spectrum_rejected():
     spec = OperatorSpec(lambda x: -(math.pi**2) - 5.0, "negative")
-    with pytest.raises((SpectrumError, ZeroModeError)):
-        log_det(spec)
+    for call in DETERMINANT_AND_ZETA:
+        with pytest.raises((SpectrumError, ZeroModeError)):
+            call(spec)
 
 
 def test_zeta_rejects_negative_spectrum():
