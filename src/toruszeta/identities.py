@@ -26,7 +26,7 @@ from .operator1d import (
     zeta_operator,
     zeta_p_functional_equation,
 )
-from .quadrature import central_derivative
+from .quadrature import taylor
 from .specialfn import bessel_k, gamma, lambert_series, riemann_zeta, sigma, sinpi
 from .torus import (
     determinant_torus,
@@ -89,7 +89,9 @@ def _fmt(z: complex) -> str:
 
 
 _TAUS3 = (1j, 0.5 + 0.866j, 0.2 + 1.7j)
-_NYW_CONST = 0.000936341
+# the nyw closed form at tau = i, |eta(i)| = Gamma(1/4) / (2 pi^(3/4)), through
+# math.gamma so that it stays independent of the package's own Gamma
+_NYW_CONST = -0.5 * math.log(math.gamma(0.25) / (2.0 * math.pi**0.75)) - math.pi / 24.0
 
 
 def _residual_entry(value_fn: Callable[[Precision], float]) -> PairFn:
@@ -241,7 +243,7 @@ def registry() -> list[IdentityCheck]:
     # --- divisor Bessel sums ----------------------------------------------------------
     add(IdentityCheck(
         "nyw.constant.tau=i",
-        "sum sigma_1(n) K_(1/2)(2 pi n) n^(-1/2) = 0.000936341",
+        "sum sigma_1(n) K_(1/2)(2 pi n) n^(-1/2) = -log(Gamma(1/4) / (2 pi^(3/4)))/2 - pi/24",
         5e-9, False,
         lambda prec: (complex(nan_yue_williams_sum(1j, prec).series), complex(_NYW_CONST)),
     ))
@@ -254,7 +256,7 @@ def registry() -> list[IdentityCheck]:
         ))
     add(IdentityCheck(
         "lambert.q1.constant.tau=i",
-        "sum sigma_(-1)(n) K_(-1/2)(2 pi n) n^(1/2) = 0.000936341",
+        "sum sigma_(-1)(n) K_(-1/2)(2 pi n) n^(1/2) = -log(Gamma(1/4) / (2 pi^(3/4)))/2 - pi/24",
         5e-9, False,
         lambda prec: (complex(lambert_q1(1j, prec).series), complex(_NYW_CONST)),
     ))
@@ -432,10 +434,10 @@ def registry() -> list[IdentityCheck]:
     ))
     add(IdentityCheck(
         "riemann.deriv_at_zero",
-        "zeta_R'(0) = -log(2 pi)/2 (central difference)",
+        "zeta_R'(0) = -log(2 pi)/2 (Taylor coefficient on a circle about 0)",
         1e-9, False,
         lambda prec: (
-            central_derivative(riemann_zeta, 0.0, levels=1),
+            complex(taylor(riemann_zeta, 0.0, 0.02)[1]),
             complex(-0.5 * math.log(2.0 * math.pi)),
         ),
     ))

@@ -42,7 +42,7 @@ from .errors import (
     TruncationWarning,
     ZeroModeError,
 )
-from .quadrature import _leggauss, adaptive_gauss, central_derivative, tanh_sinh
+from .quadrature import _leggauss, adaptive_gauss, tanh_sinh, taylor
 from .specialfn import cospi, cpow, gamma, riemann_zeta, rgamma, sinpi
 
 _SAMPLE_POINTS = np.linspace(0.0, 1.0, 101)
@@ -290,10 +290,9 @@ def log_det(spec: OperatorSpec, prec: Precision = DEFAULT_PRECISION) -> float:
 
 
 def log_det_numeric(spec: OperatorSpec, prec: Precision = DEFAULT_PRECISION) -> float:
-    """-zeta'(0) by central differencing of zeta_operator, for cross-checks."""
-    return -central_derivative(
-        lambda sv: zeta_operator(spec, complex(sv, 0.0), prec).value.real, 0.0
-    )
+    """-zeta'(0) as -a_1 of zeta_operator at 0, taken on the circle |s| = 0.01
+    (the nearest pole is s = 1/2), for cross-checks."""
+    return -float(taylor(lambda z: zeta_operator(spec, z, prec).value, 0.0, 0.01)[1])
 
 
 def zeta_p(s: complex) -> complex:
@@ -310,8 +309,9 @@ def zeta_p_functional_equation(
     The right side is a 0*inf pair at integer u >= 2: for even u the pair
     sin(pi u/2) Gamma(1-u) is collapsed to pi / (2 cos(pi u/2) Gamma(u)); at
     odd u >= 3 the Gamma pole is instead cancelled by the trivial zero of
-    zeta, and the product is restored through a numerically differentiated
-    zeta at the even negative integer (no use of the identity under test)."""
+    zeta, and the product is restored through zeta' at the even negative
+    integer, the Taylor coefficient a_1 taken on a circle of radius 0.02
+    about it (no use of the identity under test)."""
     u = complex(u)
     if abs(u - 1.0) < 1e-9 or abs(u) < 1e-9:
         raise PoleError(f"functional equation undefined at u = {u}")
@@ -331,9 +331,9 @@ def zeta_p_functional_equation(
     k = round(u.real)
     if k >= 3 and k % 2 == 1 and abs(u - k) < 1e-8:
         # zeta(1-u) has a trivial zero at 1-u = -(k-1); take the limit of
-        # zeta(1-u)/cos(pi u/2) with zeta'(-(k-1)) from central differences
+        # zeta(1-u)/cos(pi u/2) with zeta'(-(k-1)) from a circle about it
         m = (k - 1) // 2
-        zp = central_derivative(lambda x: riemann_zeta(x).real, float(1 - k), 0.02, levels=3)
+        zp = taylor(riemann_zeta, float(1 - k), 0.02)[1]
         ratio = 2.0 * (-1.0) ** m * zp / math.pi
         rhs = 2.0**u * math.pi ** (u - 1.0) * (math.pi * rgamma(u) / 2.0) * ratio
         return abs(lhs - rhs)

@@ -1,4 +1,4 @@
-"""Quadrature and extrapolation kernels used by every evaluator.
+"""Quadrature kernels used by every evaluator.
 
 Two integrators, each warning (TruncationWarning) when its cap stops it
 before its tolerance is met:
@@ -19,8 +19,11 @@ shape (len(rows), len(x)); every row meets its own tolerance, and no call
 of f sees more than CHUNK rows x abscissae.  The public functions are their
 one-row cases.
 
-Every numerical derivative and limit goes through ``richardson`` and the
-``central_derivative`` built on it.
+Every numerical derivative and limit goes through ``taylor``: the Taylor
+coefficients of a function analytic on a small disc about a real point, from
+the trapezoid rule for Cauchy's integral on the circle, which converges
+geometrically in the number of points (Trefethen & Weideman, SIAM Rev. 56
+(2014) 385).
 
 Every q-expansion -- a series whose terms decay like |q|^n -- goes through
 the one series driver ``sum_series``: the divisor-Bessel, contour and Mellin
@@ -34,11 +37,12 @@ in a fixed order so results are bit-reproducible across runs.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -280,26 +284,21 @@ def tanh_sinh(
     return QuadResult(complex(res.value[0]), float(res.err_estimate[0]), res.n_evals)
 
 
-def richardson(values: Sequence[complex], ratio: float) -> complex:
-    """Extrapolate g(h) to h = 0 from g sampled at h, h/q, h/q^2, ..., where
-    g(h) = g(0) + c1 h^p + c2 h^(2p) + ... and ratio = q^p.
+def taylor(f: Callable[[complex], complex], center: float, radius: float, m: int = 8) -> np.ndarray:
+    """Taylor coefficients a_0, ..., a_(m-1) of f about a real center: the
+    m-point trapezoid rule for Cauchy's integral, at center + radius e^(i pi (2k+1)/m).
 
-    Level k of the table removes the h^(kp) term:
-    (ratio^k g(h/q) - g(h)) / (ratio^k - 1)."""
-    table = list(values)
-    for level in range(1, len(table)):
-        factor = ratio**level
-        table = [(factor * b - a) / (factor - 1.0) for a, b in zip(table, table[1:])]
-    return table[0]
-
-
-def central_derivative(
-    f: Callable[[float], complex], x: float, h: float = 1e-5, levels: int = 2
-) -> complex:
-    """f'(x) from central differences at steps h, h/2, ..., h/2^(levels-1),
-    whose errors run in h^2, h^4, ..., Richardson-extrapolated."""
-    steps = [h * 0.5**k for k in range(levels)]
-    return richardson([(f(x + d) - f(x - d)) / (2.0 * d) for d in steps], 4.0)
+    m is even.  f must be analytic on the closed disc and real on the real axis,
+    so f(conj z) = conj f(z): only the m/2 points above the axis are evaluated,
+    and the coefficients are real.  a_j is off by the aliased
+    -a_(j+m) radius^m + a_(j+2m) radius^(2m) - ..., O((radius/rho)^m) for a
+    nearest singularity at distance rho, and by rounding of order
+    eps max|f| / radius^j (Lyness & Moler, SIAM J. Numer. Anal. 4 (1967) 202).
+    """
+    theta = math.pi * (2.0 * np.arange(m // 2) + 1.0) / m
+    vals = np.array([complex(f(center + radius * cmath.exp(1j * a))) for a in theta.tolist()])
+    j = np.arange(m)
+    return (2.0 / m) * (np.exp(-1j * np.outer(j, theta)) @ vals).real / radius**j
 
 
 def sum_series(

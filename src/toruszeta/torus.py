@@ -32,17 +32,16 @@ from .domain import (
     require_finite,
 )
 from .errors import DomainError, PoleError, TruncationWarning
-from .eta import eta
+from .eta import eta, fundamental_domain_reduce
 from .quadrature import (
     CHUNK,
     RowIntegrand,
     adaptive_gauss,
     adaptive_gauss_rows,
-    central_derivative,
-    richardson,
     sum_series,
     tanh_sinh,
     tanh_sinh_rows,
+    taylor,
 )
 # bessel_k is not called here; benchmarks/test_benchmark.py checks that the
 # tracer wraps this binding
@@ -54,7 +53,7 @@ EULER_GAMMA = 0.5772156649015328606
 METHODS = ("direct", "chowla_selberg", "contour")
 
 _POLE_TOL = 1e-12
-_HALF_WINDOW = 0.01  # |s - 1/2| below which the two cancelling poles are averaged
+_HALF_WINDOW = 0.01  # |s - 1/2| below which the head comes from its Taylor series at 1/2
 _SUM_ROUNDING = 1e-15  # u: rounding bound of a direct-sum partial sum, relative to it
 
 
@@ -179,7 +178,14 @@ def _cs_main_terms(s: complex, t: TauPoint) -> complex:
     reflection formulas, with the cos factors cancelled analytically) as
     2^(2s-1) pi^(2s-1) Gamma(2-2s) zeta(2-2s) / Gamma(3/2-s), which stays
     finite across the trivial zeros / Gamma poles at s = -1/2, -3/2, ...
+
+    The two terms have cancelling poles at s = 1/2, where their sum is
+    analytic; within _HALF_WINDOW of it the sum is the Taylor series taken on
+    the circle |s - 1/2| = 0.1 (24 points; the nearest singularity is s = 1).
     """
+    if abs(s - 0.5) < _HALF_WINDOW:
+        coeffs = taylor(lambda z: _cs_main_terms(z, t), 0.5, 0.1, 24)
+        return complex(np.polynomial.polynomial.polyval(s - 0.5, coeffs))
     term1 = 2.0 * t.tau2**s * riemann_zeta(2.0 * s)
     rg = rgamma(s)
     if rg == 0:
@@ -303,58 +309,32 @@ def remainder_integral(
 # ------------------------------------------------------------- E* evaluators
 
 
-def _eisenstein_regular(
-    s: complex, t: TauPoint, prec: Precision, method: str, diag: Diagnostics
-) -> complex:
-    if method == "chowla_selberg":
-        return _cs_main_terms(s, t) + remainder_bessel(s, t, prec, diag)
-    return _cs_main_terms(s, t) + remainder_integral(s, t, prec, diag)
-
-
-def _eisenstein_value(
-    s: complex, t: TauPoint, prec: Precision, method: str, diag: Diagnostics
-) -> tuple[complex, float]:
-    """E* value with the s = 1/2 double pole-pair handled by symmetric
-    averaging plus one Richardson step (the two series terms have cancelling
-    poles there and the evaluator is even in (s - 1/2) to leading order).
-    diag gains the counters of every remainder evaluated."""
-    if abs(s - 0.5) < _HALF_WINDOW:
-
-        def avg(step: float) -> complex:
-            return 0.5 * (
-                _eisenstein_regular(s + step, t, prec, method, diag)
-                + _eisenstein_regular(s - step, t, prec, method, diag)
-            )
-
-        a1, a2 = avg(2e-3), avg(1e-3)
-        value = richardson([a1, a2], 4.0)
-        return value, abs(a2 - a1) / 3.0 + 1e-13 * abs(value)
-    value = _eisenstein_regular(s, t, prec, method, diag)
-    return value, 1e-13 * max(1.0, abs(value))
-
-
 def eisenstein_cs(
     s: complex, tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION
 ) -> EvalResult:
-    """E*(s, tau) via the Chowla-Selberg series, valid for every s != 1."""
+    """E*(s, tau) via the Chowla-Selberg series, valid for every s != 1: the head
+    _cs_main_terms plus remainder_bessel, with err_estimate 1e-13 max(1, |E*|)."""
     s = _check_not_pole(s)
     t = as_tau(tau)
     diag = Diagnostics()
-    value, err = _eisenstein_value(s, t, prec, "chowla_selberg", diag)
-    return EvalResult(require_finite(value, "eisenstein_cs"), err, "chowla_selberg", diag)
+    value = _cs_main_terms(s, t) + remainder_bessel(s, t, prec, diag)
+    value = require_finite(value, "eisenstein_cs")
+    return EvalResult(value, 1e-13 * max(1.0, abs(value)), "chowla_selberg", diag)
 
 
 def eisenstein_contour(
     s: complex, tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION
 ) -> EvalResult:
-    """E*(s, tau) via the branch-cut contour representation (Re s < 1)."""
+    """E*(s, tau) via the branch-cut contour representation (Re s < 1): the head
+    _cs_main_terms plus remainder_integral, with err_estimate 1e-13 max(1, |E*|)."""
     s = _check_not_pole(s)
     t = as_tau(tau)
     if not s.real < 1.0:
         raise DomainError("contour evaluation is realized only for Re s < 1")
     diag = Diagnostics()
-    value, err = _eisenstein_value(s, t, prec, "contour", diag)
-    return EvalResult(require_finite(value, "eisenstein_contour"), err, "contour", diag)
+    value = _cs_main_terms(s, t) + remainder_integral(s, t, prec, diag)
+    value = require_finite(value, "eisenstein_contour")
+    return EvalResult(value, 1e-13 * max(1.0, abs(value)), "contour", diag)
 
 
 def eisenstein(
@@ -407,12 +387,11 @@ def zeta_laplacian_deriv0(
 def zeta_laplacian_deriv0_numeric(
     tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION
 ) -> float:
-    """Same derivative by central differencing of the contour evaluator at 0,
-    with one Richardson level; cross-validates the closed form."""
+    """Same derivative as the Taylor coefficient a_1 of the contour evaluator
+    at 0, taken on the circle |s| = 0.02 (the nearest pole is s = 1);
+    cross-validates the closed form."""
     t = as_tau(tau)
-    return central_derivative(
-        lambda sv: zeta_laplacian(complex(sv, 0.0), t, "contour", prec).value.real, 0.0
-    )
+    return float(taylor(lambda z: zeta_laplacian(z, t, "contour", prec).value, 0.0, 0.02)[1])
 
 
 def determinant_torus(
@@ -430,17 +409,19 @@ def determinant_torus_numeric(
     return math.exp(-zeta_laplacian_deriv0_numeric(tau, prec))
 
 
+def _laurent_at_one(t: TauPoint, prec: Precision) -> np.ndarray:
+    """Taylor coefficients at s = 1 of the entire (s - 1) E*(s, tau), taken
+    on the circle |s - 1| = 0.05: a_0 is the residue, a_1 the constant term."""
+    return taylor(lambda z: (z - 1.0) * eisenstein_cs(z, t, prec).value, 1.0, 0.05)
+
+
 def pole_residue(tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION) -> float:
-    """Residue of E*(s, tau) at s = 1, via Richardson extrapolation of
-    (s - 1) E*(s, tau) along s = 1 + 10^(-k); exact value is pi."""
-    t = as_tau(tau)
-    hs = [1e-1, 1e-2, 1e-3, 1e-4]
-    vals = [h * eisenstein_cs(1.0 + h, t, prec).value.real for h in hs]
-    return richardson(vals, 10.0)
+    """Residue of E*(s, tau) at s = 1, a_0 of (s - 1) E*(s, tau); exact value is pi."""
+    return float(_laurent_at_one(as_tau(tau), prec)[0])
 
 
 class KroneckerLimit(NamedTuple):
-    limit_estimate: float  # lim_{s->1} (E*(s,tau) - pi/(s-1)), extrapolated
+    limit_estimate: float  # lim_{s->1} (E*(s,tau) - pi/(s-1)), from a circle about 1
     closed_form: float     # 2 pi (gamma - log 2 - log(tau2^(1/2) |eta|^2))
 
     @property
@@ -451,12 +432,10 @@ class KroneckerLimit(NamedTuple):
 def kronecker_constant(
     tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION
 ) -> KroneckerLimit:
-    """Constant term of E*(s, tau) at s = 1, both as the extrapolated limit of
-    E*(1+h) - pi/h and in closed form through the eta function."""
+    """Constant term of E*(s, tau) at s = 1, both as the Taylor coefficient
+    a_1 of (s - 1) E*(s, tau) at 1 and in closed form through the eta function."""
     t = as_tau(tau)
-    hs = [1e-1, 1e-2, 1e-3, 1e-4]
-    vals = [eisenstein_cs(1.0 + h, t, prec).value.real - math.pi / h for h in hs]
-    limit = richardson(vals, 10.0)
+    limit = float(_laurent_at_one(t, prec)[1])
     closed = 2.0 * math.pi * (
         EULER_GAMMA - math.log(2.0) - math.log(math.sqrt(t.tau2) * abs(eta(t, prec)) ** 2)
     )
@@ -607,16 +586,6 @@ def heat_kernel(
     return total
 
 
-def _min_lattice_norm(t: TauPoint) -> float:
-    best = math.inf
-    for n in range(-2, 3):
-        for m in range(-2, 3):
-            if (m, n) == (0, 0):
-                continue
-            best = min(best, (m + n * t.tau1) ** 2 + (n * t.tau2) ** 2)
-    return best
-
-
 def theta_mellin_check(
     s: complex, tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION
 ) -> float:
@@ -658,7 +627,10 @@ def theta_mellin_check(
         vals = np.array([heat_kernel(ti, t, prec) - 1.0 for ti in tv])
         return vals * cpow(tv, s - 1.0)
 
-    t_hi = 50.0 * t.tau2 / (math.pi * _min_lattice_norm(t))
+    # the shortest nonzero m + n tau is d + c tau, (c, d) the bottom row of the
+    # g that takes tau into the fundamental domain; K(x) - 1 decays at that rate
+    g = fundamental_domain_reduce(t)[1]
+    t_hi = 50.0 * t.tau2 / (math.pi * ((g.d + g.c * t.tau1) ** 2 + (g.c * t.tau2) ** 2))
     mellin = (
         1.0 / (s - 1.0)
         - 1.0 / s

@@ -251,6 +251,17 @@ def test_table_basic_csv(capsys):
     assert len(lines) == 1 + 20
 
 
+def test_table_fills_every_cell_next_to_half(capsys):
+    # s = 1/2 +- 1e-3, 2e-3 are regular points of E*: no row may be empty
+    code, out, _ = run(capsys, "table", "--s-grid=0.497:0.503:0.001", "--tau", "0+1i",
+                       "--columns", "cs,contour")
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 7
+    assert all(cell for row in rows for cell in row)
+    assert all(abs(float(row[4]) - float(row[5])) < 1e-13 for row in rows)
+
+
 def test_table_empty_grid_header_only(capsys):
     code, out, _ = run(capsys, "table", "--s-grid", "5:4:1", "--tau", "0+1i",
                        "--columns", "cs")

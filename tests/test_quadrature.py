@@ -9,11 +9,10 @@ from toruszeta.errors import DomainError, TruncationWarning
 from toruszeta.quadrature import (
     adaptive_gauss,
     adaptive_gauss_rows,
-    central_derivative,
     gauss_panel,
-    richardson,
     tanh_sinh,
     tanh_sinh_rows,
+    taylor,
 )
 
 
@@ -184,22 +183,47 @@ def test_stacked_eval_counts_are_rows_times_abscissae():
     assert adaptive_gauss(np.sin, 0.0, 1.0).n_evals == 46
 
 
-# -------------------------------------------------------------- extrapolation
+# ------------------------------------------------------- Taylor coefficients
 
 
-def test_richardson_recovers_quadratic_limit():
-    c, a, b = 1.25, -3.0, 7.0
-    values = [c + a * h + b * h * h for h in (1e-1, 1e-2, 1e-3)]
-    assert abs(richardson(values, 10.0) - c) < 1e-13
+@pytest.mark.parametrize("f, df, d2f", [
+    (np.exp, math.exp, math.exp),
+    (np.sin, math.cos, lambda x: -math.sin(x)),
+], ids=["exp", "sin"])
+def test_taylor_recovers_value_and_derivatives(f, df, d2f):
+    # entire f, radius 0.05, 8 points: the aliased a_(j+8) 0.05^8 is below
+    # 1e-15 and the rounding eps max|f| / 0.05^j grows with j
+    for x in (-1.3, 0.0, 0.7, 2.0):
+        a = taylor(f, x, 0.05)
+        scale = math.exp(abs(x))
+        assert a.shape == (8,)
+        assert abs(a[0] - f(x)) < 4e-15 * scale
+        assert abs(a[1] - df(x)) < 2e-14 * scale
+        assert abs(a[2] - 0.5 * d2f(x)) < 4e-13 * scale
 
 
-def test_richardson_single_value_is_itself():
-    assert richardson([2.5 + 1j], 4.0) == 2.5 + 1j
+@pytest.mark.parametrize("center, radius, m", [
+    (0.0, 0.5, 8), (0.0, 0.5, 16), (0.0, 0.3, 8), (0.2, 0.4, 8), (-0.5, 0.75, 12)])
+def test_taylor_error_follows_the_pole_distance_law(center, radius, m):
+    # 1/(1 - z) has a_j = rho^(-j-1) about the center, rho = 1 - center; the
+    # points z with (z - center)^m = -r^m alias every a_(j+lm) onto a_j with
+    # sign (-1)^l, which sums to exactly -a_j (r/rho)^m / (1 + (r/rho)^m)
+    rho = 1.0 - center
+    ratio = (radius / rho) ** m
+    a = taylor(lambda z: 1.0 / (1.0 - z), center, radius, m)
+    exact = rho ** -(np.arange(m) + 1.0)
+    assert np.allclose(a / exact - 1.0, -ratio / (1.0 + ratio), rtol=1e-4, atol=0.0)
 
 
-@pytest.mark.parametrize("levels, bound", [(2, 1e-10), (3, 1e-13)])
-@pytest.mark.parametrize("f, df", [(math.exp, math.exp), (math.sin, math.cos)])
-def test_central_derivative(f, df, levels, bound):
-    # at h = 1e-2 the errors are O(h^4) with two levels and O(h^6) with three
-    for x in (-1.3, 0.0, 0.7):
-        assert abs(central_derivative(f, x, 1e-2, levels) - df(x)) < bound
+def test_taylor_evaluates_only_the_upper_half_circle():
+    seen = []
+
+    def f(z):
+        seen.append(z)
+        return np.exp(z)
+
+    a = taylor(f, 1.0, 0.2, 12)
+    assert len(seen) == 6
+    assert all(z.imag > 0 and abs(abs(z - 1.0) - 0.2) < 1e-15 for z in seen)
+    assert a.dtype == float
+    assert np.allclose(a[:6], math.e / np.cumprod([1.0, 1.0, 2.0, 3.0, 4.0, 5.0]), rtol=1e-9)
