@@ -202,6 +202,15 @@ def test_taylor_recovers_value_and_derivatives(f, df, d2f):
         assert abs(a[2] - 0.5 * d2f(x)) < 4e-13 * scale
 
 
+@pytest.mark.parametrize("levels, bound", [(2, 1e-10), (3, 1e-13)])
+@pytest.mark.parametrize("f, df", [(np.exp, np.exp), (np.sin, np.cos)])
+def test_central_derivative(f, df, levels, bound):
+    # f'(x) as a_1 on a circle centred at x, from m = 4 levels points: 2 levels
+    # evaluations of f, as many as a levels-deep central-difference table
+    for x in (-1.3, 0.0, 0.7):
+        assert abs(taylor(f, x, 0.05, 4 * levels)[1] - df(x)) < bound
+
+
 @pytest.mark.parametrize("center, radius, m", [
     (0.0, 0.5, 8), (0.0, 0.5, 16), (0.0, 0.3, 8), (0.2, 0.4, 8), (-0.5, 0.75, 12)])
 def test_taylor_error_follows_the_pole_distance_law(center, radius, m):
