@@ -146,6 +146,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             result["diagnostics"] = {
                 "terms_used": ev.diagnostics.terms_used,
                 "quad_evals": ev.diagnostics.quad_evals,
+                "reduced_tau": [ev.diagnostics.reduced_tau.tau1, ev.diagnostics.reduced_tau.tau2],
                 "warnings": list(ev.diagnostics.warnings),
             }
     elif what == "eta":

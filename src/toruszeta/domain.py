@@ -135,6 +135,8 @@ class Diagnostics:
     terms_used: int = 0
     quad_evals: int = 0
     warnings: list[str] = field(default_factory=list)
+    # the point an E* route summed at: the caller's tau in the fundamental domain
+    reduced_tau: TauPoint | None = None
 
 
 @dataclass

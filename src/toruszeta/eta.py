@@ -5,8 +5,9 @@ Dedekind sums.
 The q-product eta(tau) = e^(i pi tau/12) prod_{n>=1} (1 - e^(2 pi i n tau))
 converges at rate e^(-2 pi tau2); its log-factors log1p(-q^n) are summed by
 the package's one series driver, ``quadrature.sum_series``, with its
-stopping rule and its n_max warning.  For small tau2 the point is first
-moved into the fundamental domain with shift/inversion moves and the
+stopping rule and its n_max warning.  Every point is first moved into the
+fundamental domain (tau2 >= sqrt(3)/2, so |q| <= 4.3e-3) with shift/inversion
+moves, the same reduction the E* routes of ``torus`` use, and the
 transformation law is applied backwards, which keeps factor counts small.
 """
 
@@ -20,8 +21,6 @@ import numpy as np
 from .domain import DEFAULT_PRECISION, Precision, Sl2zMatrix, TauPoint, as_tau
 from .quadrature import sum_series
 from .specialfn import dedekind_sum_exact
-
-_REDUCE_BELOW = 0.5  # tau2 under which fundamental-domain reduction kicks in
 
 
 def _eta_product(tau: TauPoint, prec: Precision) -> complex:
@@ -39,19 +38,32 @@ def _eta_product(tau: TauPoint, prec: Precision) -> complex:
 
 def fundamental_domain_reduce(tau: TauPoint | complex) -> tuple[TauPoint, Sl2zMatrix]:
     """Return (z, g) with z = g(tau) in the standard fundamental domain
-    (|Re z| <= 1/2, |z| >= 1)."""
-    z = as_tau(tau).z
+    (|Re z| <= 1/2, |z| >= 1), by shift/inversion moves (Cohen, GTM 138, sec. 7.4).
+
+    After every inversion z is formed anew from tau, in exact integer
+    arithmetic on the float components x, y, and rounded once, so neither the
+    moves chosen nor the z returned carry the rounding of earlier moves:
+    z = ((a x + b)(c x + d) + a c y^2 + i y) / ((c x + d)^2 + c^2 y^2)."""
+    t = as_tau(tau)
+
+    def image(a: int, b: int, c: int, d: int) -> complex:
+        # over the common denominator q v of x = p/q, y = u/v: a x + b, c x + d and y
+        (p, q), (u, v) = t.tau1.as_integer_ratio(), t.tau2.as_integer_ratio()
+        top, bottom, height = (a * p + b * q) * v, (c * p + d * q) * v, u * q
+        norm = bottom * bottom + (c * height) ** 2
+        return complex((top * bottom + a * c * height * height) / norm, height * q * v / norm)
+
+    z = t.z
     a, b, c, d = 1, 0, 0, 1  # running g as raw integers; normalized at the end
     for _ in range(10_000):
         n = math.floor(z.real + 0.5)
-        if n != 0:
-            z -= n
-            a, b = a - n * c, b - n * d
-        if abs(z) < 1.0 - 1e-15:
-            z = -1.0 / z
-            a, b, c, d = -c, -d, a, b
-        else:
+        a, b = a - n * c, b - n * d
+        if abs(z - n) >= 1.0 - 1e-15:
             break
+        a, b, c, d = -c, -d, a, b
+        z = image(a, b, c, d)
+    # a shift alone is exact in floats; after an inversion z is formed once more
+    z = z - n if c == 0 else image(a, b, c, d)
     return TauPoint.from_complex(z), Sl2zMatrix.normalized(a, b, c, d)
 
 
@@ -73,10 +85,7 @@ def eta_multiplier(m: Sl2zMatrix) -> complex:
 
 def eta(tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION) -> complex:
     """Dedekind eta function eta(tau) for tau in the upper half-plane."""
-    t = as_tau(tau)
-    if t.tau2 >= _REDUCE_BELOW:
-        return _eta_product(t, prec)
-    z, g = fundamental_domain_reduce(t)
+    z, g = fundamental_domain_reduce(tau)
     # tau = g^{-1} z, so eta(tau) = eta(delta z) with delta = g^{-1}
     delta = g.inverse()
     val = _eta_product(z, prec)

@@ -8,6 +8,14 @@ completed Eisenstein series E*(s, tau), by three independent routes:
 * ``contour``         -- the same two zeta terms plus the branch-cut integral
                          remainder (Re s < 1, realized numerically).
 
+E* is SL(2, Z)-invariant, so each route first moves tau into the fundamental
+domain (``eta.fundamental_domain_reduce``), where tau2 >= sqrt(3)/2 and the
+remainders, which converge like e^(-2 pi n tau2), need a handful of terms;
+the route's private ``_*_unreduced`` core then sums at the reduced point.
+``zeta_laplacian`` scales by the caller's tau2^s.  The remainders
+``remainder_bessel`` and ``remainder_integral`` are not invariant on their
+own and are summed at the tau they are given.
+
 The module also extracts the functional determinant, the constant term of the
 Laurent expansion at s = 1, the remainder functional equation, the divisor
 Bessel-sum constants, the lattice heat kernel with its inversion law, and the
@@ -18,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -101,10 +109,26 @@ def _square_sum_block(
     return 2.0 * total, (2 * k_hi + 1) ** 2 - (2 * k_lo + 1) ** 2
 
 
+def _at_reduced(
+    core: Callable[[complex, TauPoint, Precision], EvalResult],
+    s: complex,
+    tau: TauPoint | complex,
+    prec: Precision,
+) -> EvalResult:
+    """core at tau moved into the fundamental domain, which E* does not see
+    (it is SL(2, Z)-invariant) and where every remainder term decays at least
+    like e^(-pi sqrt(3) n); the diagnostics record the reduced tau."""
+    t = fundamental_domain_reduce(tau)[0]
+    result = core(s, t, prec)
+    result.diagnostics.reduced_tau = t
+    return result
+
+
 def eisenstein_direct(
     s: complex, tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION
 ) -> EvalResult:
-    """E*(s, tau) by direct lattice summation over square shells, Re s > 1.
+    """E*(s, tau) by direct lattice summation over square shells, Re s > 1,
+    at tau reduced to the fundamental domain.
 
     The shell max(|m|,|n|) <= K is a midpoint rule on [-N, N]^2, N = K + 1/2,
     so its partial sum is S(K) = E - a N^(2-2s) - b N^(-2s) - c N^(-2s-2) - ...,
@@ -118,8 +142,12 @@ def eisenstein_direct(
     fitted and checked against the fit without the first (with two, against
     the first raw partial sum).
     """
+    return _at_reduced(_direct_unreduced, s, tau, prec)
+
+
+def _direct_unreduced(s: complex, t: TauPoint, prec: Precision) -> EvalResult:
+    """eisenstein_direct on the lattice basis (1, t) as given."""
     s = _check_not_pole(s)
-    t = as_tau(tau)
     if not s.real > 1.0:
         raise DomainError("the direct lattice sum requires Re s > 1")
 
@@ -140,7 +168,7 @@ def eisenstein_direct(
     diag = Diagnostics()
     stopped = "direct-sum ladder stopped by n_max"
     if prec.n_max < 2:
-        warnings.warn(stopped, TruncationWarning, stacklevel=2)
+        warnings.warn(stopped, TruncationWarning, stacklevel=4)
         raise DomainError("the direct sum needs n_max >= 2 for two checkpoints")
     partials: list[tuple[int, complex]] = []
     running = 0.0 + 0.0j
@@ -159,7 +187,7 @@ def eisenstein_direct(
             check = fit(partials[1:])[0] if len(partials) > 2 else partials[0][1]
         if k == prec.n_max:  # never the first checkpoint
             diag.warnings.append(f"checkpoint ladder stopped by n_max = {prec.n_max}")
-            warnings.warn(stopped, TruncationWarning, stacklevel=2)
+            warnings.warn(stopped, TruncationWarning, stacklevel=4)
             break
         k = min(2 * k, prec.n_max)
     tau2_s = t.tau2**s
@@ -312,10 +340,15 @@ def remainder_integral(
 def eisenstein_cs(
     s: complex, tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION
 ) -> EvalResult:
-    """E*(s, tau) via the Chowla-Selberg series, valid for every s != 1: the head
-    _cs_main_terms plus remainder_bessel, with err_estimate 1e-13 max(1, |E*|)."""
+    """E*(s, tau) via the Chowla-Selberg series, valid for every s != 1, at tau
+    reduced to the fundamental domain: the head _cs_main_terms plus
+    remainder_bessel, with err_estimate 1e-13 max(1, |E*|)."""
+    return _at_reduced(_cs_unreduced, s, tau, prec)
+
+
+def _cs_unreduced(s: complex, t: TauPoint, prec: Precision) -> EvalResult:
+    """eisenstein_cs at t as given."""
     s = _check_not_pole(s)
-    t = as_tau(tau)
     diag = Diagnostics()
     value = _cs_main_terms(s, t) + remainder_bessel(s, t, prec, diag)
     value = require_finite(value, "eisenstein_cs")
@@ -325,10 +358,15 @@ def eisenstein_cs(
 def eisenstein_contour(
     s: complex, tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION
 ) -> EvalResult:
-    """E*(s, tau) via the branch-cut contour representation (Re s < 1): the head
-    _cs_main_terms plus remainder_integral, with err_estimate 1e-13 max(1, |E*|)."""
+    """E*(s, tau) via the branch-cut contour representation (Re s < 1), at tau
+    reduced to the fundamental domain: the head _cs_main_terms plus
+    remainder_integral, with err_estimate 1e-13 max(1, |E*|)."""
+    return _at_reduced(_contour_unreduced, s, tau, prec)
+
+
+def _contour_unreduced(s: complex, t: TauPoint, prec: Precision) -> EvalResult:
+    """eisenstein_contour at t as given."""
     s = _check_not_pole(s)
-    t = as_tau(tau)
     if not s.real < 1.0:
         raise DomainError("contour evaluation is realized only for Re s < 1")
     diag = Diagnostics()

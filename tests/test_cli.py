@@ -105,6 +105,17 @@ def test_eval_series_routes_report_their_counters(capsys, method):
     assert run(capsys, *argv)[1] == out
 
 
+def test_eval_reports_the_reduced_tau(capsys):
+    argv = ("eval", "--what", "eisenstein", "--s", "0.3+0.7i", "--tau", "0.3+0.05i")
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["tau"] == [0.3, 0.05]
+    tau1, tau2 = doc["diagnostics"]["reduced_tau"]
+    assert abs(tau1) <= 0.5 and tau2 >= math.sqrt(3) / 2
+    assert run(capsys, *argv)[1] == out
+
+
 def test_eval_pole_is_machine_readable_exit_2(capsys):
     code, out, _ = run(capsys, "eval", "--what", "eisenstein", "--s", "1", "--tau", "0+1i")
     assert code == EXIT_DOMAIN

@@ -59,7 +59,7 @@ def test_eta_small_tau2_uses_reduction():
 )
 def test_eta_matches_mpmath_qp(tau1, tau2):
     # independent oracle: e^(i pi tau/12) (q; q)_inf from mpmath's q-Pochhammer
-    # at 30 digits, over the direct product and the reduced path (tau2 < 0.5)
+    # at 30 digits, over points inside and far outside the fundamental domain
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         z = mp.mpc(tau1, tau2)
@@ -187,6 +187,19 @@ def test_fundamental_domain_reduce():
     assert abs(z.z) >= 1.0 - 1e-12
     back = g.apply(tau)
     assert abs(back.z - z.z) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "tau", [0.3 + 1e-12j, math.sqrt(2) + 1e-9j, 0.3 + 0.05j, 3 + 0.05j, -2.9213 + 0.136j, 0.5 + 0.8j])
+def test_fundamental_domain_reduce_forms_the_image_exactly(tau):
+    # z is g(tau) rounded once; the moves' rounding reached 2.2e-6 at 0.3+1e-12i
+    mp = pytest.importorskip("mpmath")
+    z, g = fundamental_domain_reduce(tau)
+    assert abs(z.tau1) <= 0.5 and abs(z.z) >= 1.0
+    with mp.workdps(60):
+        t = mp.mpc(tau)
+        ref = (g.a * t + g.b) / (g.c * t + g.d)
+        assert abs(mp.mpc(z.z) - ref) <= 2.3e-16 * abs(ref)
 
 
 def test_tau_point_validation():

@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from toruszeta.domain import DEFAULT_PRECISION, Diagnostics, Precision, Sl2zMatrix, as_tau
 from toruszeta.errors import DomainError, PoleError, TruncationWarning
-from toruszeta.eta import eta
+from toruszeta.eta import eta, fundamental_domain_reduce
 from toruszeta.quadrature import adaptive_gauss, tanh_sinh
 from toruszeta.specialfn import bessel_k, gamma, rgamma, riemann_zeta, sigma
 from toruszeta.torus import (
+    _cs_unreduced,
+    _direct_unreduced,
     _square_sum_block,
     determinant_torus,
     determinant_torus_numeric,
@@ -181,6 +183,32 @@ def test_direct_matches_mpmath(s, tau):
     assert res.err_estimate >= abs(res.value - ref)
 
 
+# the skewed bases of the parametrization above, summed as given: the shell
+# fit must hold on a lattice basis far from the fundamental domain
+@pytest.mark.parametrize(
+    "s, tau",
+    [
+        (2.0, complex(54 / 37, 9 / 37)),
+        (1.2 + 0.5j, complex(54 / 37, 9 / 37)),
+        (1.6315, -2.9213 + 0.1360j),
+    ],
+)
+def test_direct_on_a_skewed_basis_matches_mpmath(s, tau):
+    ref = e_star_mpmath(s, tau)
+    res = _direct_unreduced(s, as_tau(tau), DEFAULT_PRECISION)
+    assert abs(res.value - ref) <= 1e-13 * abs(ref)
+    assert res.err_estimate >= abs(res.value - ref)
+
+
+@pytest.mark.parametrize("s", [1.02 + 2j, 1.02])
+def test_direct_sums_a_sheared_lattice_at_its_reduced_point(s):
+    # tau = 3 + 0.05i reduces to 20i; summed on the basis (1, tau) the ladder
+    # took 4.0e8 lattice points
+    res = eisenstein_direct(s, 3 + 0.05j)
+    assert res.diagnostics.terms_used <= 1e7
+    assert abs(res.value - eisenstein_cs(s, 3 + 0.05j).value) <= 1e-13 * abs(res.value)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     st.floats(min_value=1.02, max_value=3.5),
@@ -232,11 +260,11 @@ def test_direct_sum_peak_memory_is_flat():
 
 
 def test_direct_sum_peak_memory_is_flat_on_a_long_ladder():
-    # the ladder runs to K = 2560 on this skewed lattice; unchunked, its last
-    # shell takes about 105 MB
+    # the ladder runs to K = 2560 on this skewed basis, summed as given;
+    # unchunked, its last shell takes about 105 MB
     tracemalloc.start()
     try:
-        eisenstein_direct(1.6315, -2.9213 + 0.1360j)
+        _direct_unreduced(1.6315, as_tau(-2.9213 + 0.1360j), DEFAULT_PRECISION)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -267,6 +295,15 @@ def test_cs_pole_is_rejected():
 def test_cs_residue_at_one():
     for tau in (1j, 0.2 + 1.3j):
         assert abs(pole_residue(tau) - math.pi) < 1e-7
+
+
+@pytest.mark.parametrize("tau", [0.3 + 0.05j, -2.7 + 0.05j, 3 + 0.05j, 1.3 + 0.01j, -3 + 0.01j])
+@pytest.mark.parametrize("s", [0.3 + 0.7j, -0.6, 0.8 - 0.4j])
+@pytest.mark.parametrize("route", [eisenstein_cs, eisenstein_contour])
+def test_series_routes_at_small_tau2_match_mpmath(route, s, tau):
+    # unreduced, the remainders would need 100 terms at tau2 = 0.05 and 500 at 0.01
+    ref = e_star_mpmath(s, tau)
+    assert abs(route(s, tau).value - ref) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("s", [0.498, 0.499, 0.501, 0.502, 0.503 + 0.004j, 0.4955 - 0.007j])
@@ -478,12 +515,13 @@ def test_eisenstein_modular_invariance(word):
             "S": Sl2zMatrix.inversion(),
         }[letter]
         m = step @ m
+    # the public routes reduce tau first, so m tau is summed as given
     tau = 0.3 + 0.9j
     moved = m.apply(tau)
-    a = eisenstein_direct(2.0, moved).value
+    a = _direct_unreduced(2.0, moved, DEFAULT_PRECISION).value
     b = eisenstein_direct(2.0, tau).value
     assert abs(a - b) < 1e-9
-    a = eisenstein_cs(0.4, moved).value
+    a = _cs_unreduced(0.4, moved, DEFAULT_PRECISION).value
     b = eisenstein_cs(0.4, tau).value
     assert abs(a - b) < 1e-9
 
@@ -575,17 +613,29 @@ def test_remainder_fe_grid():
 # ------------------------------------------------------------------ counters
 
 
-@pytest.mark.parametrize("route", [eisenstein_cs, eisenstein_contour])
-def test_counters_are_real_and_deterministic(route):
+@pytest.mark.parametrize(
+    "route, remainder",
+    [(eisenstein_cs, remainder_bessel), (eisenstein_contour, remainder_integral)],
+    ids=["eisenstein_cs", "eisenstein_contour"],
+)
+def test_counters_are_real_and_deterministic(route, remainder):
     s = 0.3 + 0.2j
     first = route(s, 0.1 + 1.0j).diagnostics
     again = route(s, 0.1 + 1.0j).diagnostics
     assert (first.terms_used, first.quad_evals) == (again.terms_used, again.quad_evals)
     assert first.terms_used > 0 and first.quad_evals > 0
-    # the series decays like e^(-2 pi n tau2): smaller tau2, more terms and work
-    wider = route(s, 0.1 + 0.3j).diagnostics
-    assert wider.terms_used > first.terms_used
-    assert wider.quad_evals > first.quad_evals
+    # E* is summed at tau reduced to the fundamental domain, so its counters
+    # at tau are those at the reduced point
+    far = route(s, 0.1 + 0.3j).diagnostics
+    reduced = route(s, fundamental_domain_reduce(0.1 + 0.3j)[0]).diagnostics
+    assert (far.terms_used, far.quad_evals) == (reduced.terms_used, reduced.quad_evals)
+    # a remainder alone is summed at the tau it is given, and decays like
+    # e^(-2 pi n tau2): smaller tau2, more terms and work
+    near, wider = Diagnostics(), Diagnostics()
+    remainder(s, 0.1 + 1.0j, DEFAULT_PRECISION, near)
+    remainder(s, 0.1 + 0.3j, DEFAULT_PRECISION, wider)
+    assert wider.terms_used > near.terms_used
+    assert wider.quad_evals > near.quad_evals
 
 
 def test_zeta_laplacian_carries_the_counters():
@@ -598,10 +648,10 @@ def test_zeta_laplacian_carries_the_counters():
     ("chowla_selberg", remainder_bessel), ("contour", remainder_integral)])
 def test_counters_at_half_are_one_remainder_call(method, remainder):
     # the cancelling poles at s = 1/2 live in the head; the remainder is
-    # entire there and evaluated once, at s
+    # entire there and evaluated once, at s and at the reduced tau
     tau = 0.2 + 0.9j
     want = Diagnostics()
-    remainder(0.5, tau, DEFAULT_PRECISION, want)
+    remainder(0.5, fundamental_domain_reduce(tau)[0], DEFAULT_PRECISION, want)
     got = eisenstein(0.5, tau, method).diagnostics
     assert (got.terms_used, got.quad_evals) == (want.terms_used, want.quad_evals)
 
