@@ -101,9 +101,7 @@ class Sl2zMatrix:
     @classmethod
     def shift(cls, n: int = 1) -> "Sl2zMatrix":
         """tau -> tau + n."""
-        if n >= 0:
-            return cls(1, n, 0, 1)
-        return cls.normalized(1, n, 0, 1)
+        return cls(1, n, 0, 1)
 
     @classmethod
     def inversion(cls) -> "Sl2zMatrix":

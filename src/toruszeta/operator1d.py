@@ -357,6 +357,4 @@ def mellin_gamma_zeta_check(
         core = 1.0 / np.expm1(y)
         return cpow(y, u - 1.0) * core
 
-    head = tanh_sinh(f, 0.0, 1.0, tol=tol)
-    tail = adaptive_gauss(f, 1.0, 60.0, rel_tol=tol, abs_tol=1e-17)
-    return head.value + tail.value, gamma(u) * riemann_zeta(u)
+    return tanh_sinh(f, 0.0, 60.0, tol=tol).value, gamma(u) * riemann_zeta(u)

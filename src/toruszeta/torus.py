@@ -43,9 +43,7 @@ from .errors import DomainError, PoleError, TruncationWarning
 from .eta import eta, fundamental_domain_reduce
 from .quadrature import (
     CHUNK,
-    RowIntegrand,
     adaptive_gauss,
-    adaptive_gauss_rows,
     sum_series,
     tanh_sinh,
     tanh_sinh_rows,
@@ -54,13 +52,13 @@ from .quadrature import (
 # bessel_k is not called here; benchmarks/test_benchmark.py checks that the
 # tracer wraps this binding
 from .specialfn import bessel_k  # noqa: F401
-from .specialfn import cpow, gamma, rgamma, riemann_zeta, scaled_bessel_k, sigma, sinpi
+from .specialfn import _POLE_TOL, _near_nonpositive_integer, cpow, gamma, rgamma, riemann_zeta
+from .specialfn import scaled_bessel_k, sigma, sinpi
 
 EULER_GAMMA = 0.5772156649015328606
 
 METHODS = ("direct", "chowla_selberg", "contour")
 
-_POLE_TOL = 1e-12
 _HALF_WINDOW = 0.01  # |s - 1/2| below which the head comes from its Taylor series at 1/2
 _SUM_ROUNDING = 1e-15  # u: rounding bound of a direct-sum partial sum, relative to it
 
@@ -275,16 +273,6 @@ def remainder_bessel(
     )
 
 
-def _branch_integrals(
-    integrand: RowIntegrand, rows: int, u_hi: float, tol: float, abs_tol: float
-) -> tuple[np.ndarray, int]:
-    """int_0^u_hi of each row: tanh-sinh on (0, 1), where the rows carry their
-    algebraic u^(-s) endpoint singularity, and adaptive Gauss on (1, u_hi)."""
-    head = tanh_sinh_rows(integrand, 0.0, 1.0, rows, tol=tol)
-    tail = adaptive_gauss_rows(integrand, 1.0, u_hi, rows, rel_tol=tol, abs_tol=abs_tol)
-    return head.value + tail.value, head.n_evals + tail.n_evals
-
-
 def remainder_integral(
     s: complex,
     tau: TauPoint | complex,
@@ -301,9 +289,9 @@ def remainder_integral(
     logarithmic derivative is 4 pi Re[E/(1-E)]
     = 4 pi (rho c - rho^2) / (1 - 2 rho c + rho^2), c = cos(2 pi n tau1),
     and the u-integrand has only the algebraic u^(-s) endpoint singularity.
-    A block of n is integrated at once, one row per n; u runs up to where
-    u + n tau2 = 8 for the block's first n.  diag, if given, gains the terms
-    summed and the quadrature evaluations.
+    A block of n is integrated at once, one row per n, by one tanh-sinh pass
+    over the fixed range (0, 8); past u = 8 each row has decayed by e^(-16 pi).
+    diag, if given, gains the terms summed and the quadrature evaluations.
     """
     s = complex(s)
     t = as_tau(tau)
@@ -325,7 +313,8 @@ def remainder_integral(
             log_derivative = 4.0 * math.pi * rho * (cr - rho) / (1.0 - rho * (2.0 * cr - rho))
             return cpow(u * (u + two_n_tau2[rows]), -s) * log_derivative
 
-        return _branch_integrals(integrand, ns.size, max(2.0, 8.0 - ns[0] * t.tau2), tol, 1e-16)
+        res = tanh_sinh_rows(integrand, 0.0, 8.0, ns.size, tol=tol)
+        return res.value, res.n_evals
 
     pref = 2.0 * t.tau2**s * sp / math.pi
     value = sum_series(
@@ -483,15 +472,22 @@ def kronecker_constant(
 # ------------------------------------------------------- functional equations
 
 
+def _check_fe_point(s: complex, what: str) -> complex:
+    """complex(s), or PoleError "<what> undefined" within 1e-9 of s = 0 or 1,
+    where one side of the functional equation has its pole."""
+    s = complex(s)
+    for p in (0.0, 1.0):
+        if abs(s - p) < 1e-9 or abs((1.0 - s) - p) < 1e-9:
+            raise PoleError(f"{what} undefined at s = {s}")
+    return s
+
+
 def functional_equation_residual(
     s: complex, tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION
 ) -> float:
     """|pi^(1-2s) Gamma(s) E*(s,tau) - Gamma(1-s) E*(1-s,tau)|, both sides via
     the Chowla-Selberg evaluator."""
-    s = complex(s)
-    for p in (0.0, 1.0):
-        if abs(s - p) < 1e-9 or abs((1.0 - s) - p) < 1e-9:
-            raise PoleError(f"functional equation residual undefined at s = {s}")
+    s = _check_fe_point(s, "functional equation residual")
     t = as_tau(tau)
     lhs = math.pi ** (1.0 - 2.0 * s) * gamma(s) * eisenstein_cs(s, t, prec).value
     rhs = gamma(1.0 - s) * eisenstein_cs(1.0 - s, t, prec).value
@@ -504,10 +500,7 @@ def remainder_fe_residual(
     """|pi^(1-2s) Gamma(s) Q(s,tau) - Gamma(1-s) Q(1-s,tau)| for the Bessel
     remainder.  Gamma(s) Q(s,tau) is formed as 8 pi^s tau2^(1/2) * (series),
     cancelling Gamma against 1/Gamma analytically."""
-    s = complex(s)
-    for p in (0.0, 1.0):
-        if abs(s - p) < 1e-9 or abs((1.0 - s) - p) < 1e-9:
-            raise PoleError(f"remainder functional equation undefined at s = {s}")
+    s = _check_fe_point(s, "remainder functional equation")
     t = as_tau(tau)
 
     def gamma_times_q(sv: complex) -> complex:
@@ -572,7 +565,8 @@ def mellin_remainder_tau_i(
     """4 sin(pi s)/pi * sum_{n>=1} int_0^inf u^(s-1)
     pi / ((e^(2 pi sqrt(n^2+u)) - 1) sqrt(n^2+u)) du, which equals Q(1-s, i);
     defined on the strip 0 < Re s < 1.  The n-integrals are computed a block
-    at a time, like the branches of remainder_integral."""
+    at a time, by one tanh-sinh pass over (0, u_hi), u_hi = max(4, 54 - n^2)
+    for the block's first n."""
     s = complex(s)
     if not (0.0 < s.real < 1.0):
         raise DomainError("mellin_remainder_tau_i needs 0 < Re s < 1")
@@ -587,7 +581,8 @@ def mellin_remainder_tau_i(
             return cpow(u, s - 1.0) * core
 
         u_hi = max(4.0, 54.0 - float(ns[0]) ** 2)
-        return _branch_integrals(integrand, ns.size, u_hi, tol, 1e-17)
+        res = tanh_sinh_rows(integrand, 0.0, u_hi, ns.size, tol=tol)
+        return res.value, res.n_evals
 
     pref = 4.0 * sinpi(s) / math.pi
     value = sum_series(block, pref, math.exp(-2.0 * math.pi), prec, "mellin_remainder_tau_i", None)
@@ -637,14 +632,10 @@ def theta_mellin_check(
     def completed(sv: complex) -> complex:
         return 0.5 * math.pi ** (-sv) * gamma(sv) * eisenstein_cs(sv, t, prec).value
 
-    def gamma_regular(sv: complex) -> bool:
-        n = round(sv.real)
-        return not (n <= 0 and abs(sv - n) < 1e-9)
-
     residuals = []
     # the symmetry side hits removable Gamma-pole/zero pairs at integer s;
     # it is only computed where both completed values exist directly
-    if gamma_regular(s) and gamma_regular(1.0 - s):
+    if not (_near_nonpositive_integer(s, 1e-9) or _near_nonpositive_integer(1.0 - s, 1e-9)):
         residuals.append(abs(completed(s) - completed(1.0 - s)))
     if s.real <= 1.0:
         if not residuals:

@@ -437,6 +437,21 @@ def test_remainder_integral_equals_bessel():
     assert abs(remainder_integral(-0.5, 1j) - remainder_bessel(-0.5, 1j)) < 1e-8
 
 
+@pytest.mark.parametrize("tau", [3j, 6j, 10j, 0.3 + 20j])
+@pytest.mark.parametrize("s", [0.3, -0.5 + 1j])
+def test_remainder_integral_is_relatively_accurate_at_large_tau2(s, tau):
+    # every branch runs over the whole u range (0, 8), whatever tau2; a branch
+    # cut off at u = 2 would lose about e^(-4 pi) = 3.5e-6 of its integral
+    q = remainder_bessel(s, tau)
+    assert abs(remainder_integral(s, tau) - q) <= 1e-8 * abs(q)
+
+
+def test_remainder_integral_evaluation_count():
+    d = Diagnostics()
+    remainder_integral(0.3, 1j, diag=d)
+    assert d.quad_evals <= 1200
+
+
 def test_remainder_integral_domain():
     with pytest.raises(DomainError):
         remainder_integral(1.2, 1j)
@@ -660,22 +675,25 @@ def test_counters_at_half_are_one_remainder_call(method, remainder):
 
 
 @pytest.mark.parametrize(
-    "call, message",
+    "call, n_max, messages",
     [
-        (lambda p: remainder_bessel(0.3, 1j, p), "divisor-Bessel series hit n_max"),
-        (lambda p: nan_yue_williams_sum(1j, p), "divisor-Bessel series hit n_max"),
-        (lambda p: lambert_q1(1j, p), "divisor-Bessel series hit n_max"),
-        (lambda p: lambert_q1(1j, p), "lambert_q1 closed form hit n_max"),
-        (lambda p: mellin_remainder_tau_i(0.3, p), "mellin_remainder_tau_i hit n_max"),
-        (lambda p: eta(1j, p), "eta product hit n_max"),
+        (lambda p: remainder_bessel(0.3, 1j, p), 1, ["divisor-Bessel series"]),
+        (lambda p: nan_yue_williams_sum(1j, p), 1, ["divisor-Bessel series", "eta product"]),
+        # at n_max = 6 the closed form has stopped and only the series is cut
+        (lambda p: lambert_q1(1j, p), 6, ["divisor-Bessel series"]),
+        (lambda p: lambert_q1(1j, p), 1, ["divisor-Bessel series", "lambert_q1 closed form"]),
+        (lambda p: mellin_remainder_tau_i(0.3, p), 1, ["mellin_remainder_tau_i"]),
+        (lambda p: eta(1j, p), 1, ["eta product"]),
     ],
     ids=[
         "remainder_bessel", "nan_yue_williams", "lambert_series", "lambert_closed", "mellin", "eta",
     ],
 )
-def test_series_cap_warns(call, message):
-    with pytest.warns(TruncationWarning, match=message):
-        call(Precision(n_max=1))
+def test_series_cap_warns(call, n_max, messages):
+    # every warning the call raises is asserted, so none leaks out of the test
+    with pytest.warns(TruncationWarning) as caught:
+        call(Precision(n_max=n_max))
+    assert [str(w.message) for w in caught] == [f"{m} hit n_max = {n_max}" for m in messages]
 
 
 def test_nan_yue_williams_at_i():
