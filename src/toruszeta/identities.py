@@ -222,21 +222,21 @@ def registry() -> list[IdentityCheck]:
         ))
 
     # --- functional equations --------------------------------------------------------
-    for s, tau in ((0.3, 1j), (2 + 0.5j, 0.4 + 0.7j), (0.5, 1j)):
+    for s, tau in ((0.3, 1j), (2 + 0.5j, 0.4 + 0.7j), (0.5 + 2j, 1j), (2.5 + 1j, 0.3 + 0.8j)):
         add(IdentityCheck(
             f"eisenstein.fe.s={_fmt(s)}.tau={_fmt(tau)}",
             "pi^(1-2s) Gamma(s) E*(s) = Gamma(1-s) E*(1-s)",
             1e-9, False,
             _residual_entry(lambda prec, sv=s, t=tau: functional_equation_residual(sv, t, prec)),
         ))
-    for s, tau in ((0.3, 1j), (-0.7, 0.2 + 1.5j), (0.5, 1j)):
+    for s, tau in ((0.3, 1j), (-0.7, 0.2 + 1.5j), (0.5 + 2j, 1j)):
         add(IdentityCheck(
             f"remainder.fe.s={_fmt(s)}.tau={_fmt(tau)}",
             "pi^(1-2s) Gamma(s) Q(s) = Gamma(1-s) Q(1-s)",
             1e-9, False,
             _residual_entry(lambda prec, sv=s, t=tau: remainder_fe_residual(sv, t, prec)),
         ))
-    for u in (3.0, 2.2, 0.5):
+    for u in (3.0, 2.2, -0.5):
         add(IdentityCheck(
             f"zeta_p.fe.u={_fmt(u)}",
             "zeta_P(u/2) = 2^u pi^(u-1) Gamma(1-u) sin(pi u/2) zeta_P((1-u)/2)",
@@ -397,8 +397,8 @@ def registry() -> list[IdentityCheck]:
         _residual_entry(lambda prec: theta_mellin_check(2.0, 1j, prec)),
     ))
     add(IdentityCheck(
-        "theta.symmetry.s=2.5+1i.tau=0.3+0.8i",
-        "completed series is symmetric under s -> 1-s",
+        "theta.mellin.s=2.5+1i.tau=0.3+0.8i",
+        "(1/2) pi^(-s) Gamma(s) E*(s) equals the heat-trace Mellin integral",
         1e-9, False,
         _residual_entry(lambda prec: theta_mellin_check(2.5 + 1j, 0.3 + 0.8j, prec)),
     ))

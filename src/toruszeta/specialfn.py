@@ -261,13 +261,20 @@ def sigma(v: complex, n: int) -> complex:
 
 
 def dedekind_sum_exact(h: int, k: int) -> Fraction:
-    """s(h, k) = sum_{n=1}^{k-1} (n/k)(hn/k - floor(hn/k) - 1/2), exactly."""
+    """s(h, k) = sum_{n=1}^{k-1} (n/k)(hn/k - floor(hn/k) - 1/2), exactly, in
+    O(log k) steps.  With g = gcd(h, k) the terms at the multiples of k/g sum
+    to -(g - 1)/4 and the rest to s(h/g, k/g), which the reciprocity law
+    s(h, k) + s(k, h) = (h/k + k/h + 1/(hk))/12 - 1/4 reduces in Euclid steps
+    (Apostol, Modular Functions and Dirichlet Series, Thm 3.7)."""
     if k < 1:
         raise DomainError(f"dedekind_sum requires k >= 1, got {k}")
-    total = Fraction(0)
-    for n in range(1, k):
-        hn = Fraction(h * n, k)
-        total += Fraction(n, k) * (hn - math.floor(hn) - Fraction(1, 2))
+    g = math.gcd(h, k)
+    total, sign = Fraction(1 - g, 4), 1
+    h, k = h // g % (k // g), k // g
+    while h:  # s(h, k) with 0 < h < k coprime; s(0, 1) = 0 ends it
+        total += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
+        sign = -sign
+        h, k = k % h, h
     return total
 
 

@@ -52,7 +52,7 @@ from .quadrature import (
 # bessel_k is not called here; benchmarks/test_benchmark.py checks that the
 # tracer wraps this binding
 from .specialfn import bessel_k  # noqa: F401
-from .specialfn import _POLE_TOL, _near_nonpositive_integer, cpow, gamma, rgamma, riemann_zeta
+from .specialfn import _POLE_TOL, cpow, gamma, rgamma, riemann_zeta
 from .specialfn import scaled_bessel_k, sigma, sinpi
 
 EULER_GAMMA = 0.5772156649015328606
@@ -337,11 +337,18 @@ def eisenstein_cs(
 
 def _cs_unreduced(s: complex, t: TauPoint, prec: Precision) -> EvalResult:
     """eisenstein_cs at t as given."""
+    return _head_plus(remainder_bessel, s, t, prec, "eisenstein_cs", "chowla_selberg")
+
+
+def _head_plus(
+    remainder: Callable, s: complex, t: TauPoint, prec: Precision, name: str, method: str
+) -> EvalResult:
+    """_cs_main_terms plus the remainder (which checks its own domain first) at t as given."""
     s = _check_not_pole(s)
     diag = Diagnostics()
-    value = _cs_main_terms(s, t) + remainder_bessel(s, t, prec, diag)
-    value = require_finite(value, "eisenstein_cs")
-    return EvalResult(value, 1e-13 * max(1.0, abs(value)), "chowla_selberg", diag)
+    rem = remainder(s, t, prec, diag)
+    value = require_finite(_cs_main_terms(s, t) + rem, name)
+    return EvalResult(value, 1e-13 * max(1.0, abs(value)), method, diag)
 
 
 def eisenstein_contour(
@@ -355,13 +362,7 @@ def eisenstein_contour(
 
 def _contour_unreduced(s: complex, t: TauPoint, prec: Precision) -> EvalResult:
     """eisenstein_contour at t as given."""
-    s = _check_not_pole(s)
-    if not s.real < 1.0:
-        raise DomainError("contour evaluation is realized only for Re s < 1")
-    diag = Diagnostics()
-    value = _cs_main_terms(s, t) + remainder_integral(s, t, prec, diag)
-    value = require_finite(value, "eisenstein_contour")
-    return EvalResult(value, 1e-13 * max(1.0, abs(value)), "contour", diag)
+    return _head_plus(remainder_integral, s, t, prec, "eisenstein_contour", "contour")
 
 
 def eisenstein(
@@ -414,11 +415,17 @@ def zeta_laplacian_deriv0(
 def zeta_laplacian_deriv0_numeric(
     tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION
 ) -> float:
-    """Same derivative as the Taylor coefficient a_1 of the contour evaluator
-    at 0, taken on the circle |s| = 0.02 (the nearest pole is s = 1);
-    cross-validates the closed form."""
+    """Same derivative through the contour route at z = tau reduced, which
+    cross-validates the closed form: (log tau2 - 2 log 2 pi) E*(0, z) + a_1,
+    a_1 the Taylor coefficient of E*(s, z) alone on the circle |s| = 0.02
+    (the nearest pole is s = 1), E*(0, z) = -1 from the same route.  The
+    prefactor (2 pi)^(-2s) tau2^s is differentiated in closed form, so a
+    large |log tau2| costs the circle no digits."""
     t = as_tau(tau)
-    return float(taylor(lambda z: zeta_laplacian(z, t, "contour", prec).value, 0.0, 0.02)[1])
+    z = fundamental_domain_reduce(t)[0]
+    a1 = taylor(lambda sv: _contour_unreduced(sv, z, prec).value, 0.0, 0.02)[1]
+    at_zero = _contour_unreduced(0.0, z, prec).value.real
+    return float((math.log(t.tau2) - 2.0 * math.log(2.0 * math.pi)) * at_zero + a1)
 
 
 def determinant_torus(
@@ -472,14 +479,16 @@ def kronecker_constant(
 # ------------------------------------------------------- functional equations
 
 
-def _check_fe_point(s: complex, what: str) -> complex:
-    """complex(s), or PoleError "<what> undefined" within 1e-9 of s = 0 or 1,
-    where one side of the functional equation has its pole."""
+def _fe_residual(s: complex, what: str, weight: Callable, series: Callable) -> float:
+    """|pi^(1-2s) weight(s) series(s) - weight(1-s) series(1-s)|, or PoleError
+    "<what> undefined" within 1e-9 of s = 0 or 1, where one side has its pole."""
     s = complex(s)
     for p in (0.0, 1.0):
         if abs(s - p) < 1e-9 or abs((1.0 - s) - p) < 1e-9:
             raise PoleError(f"{what} undefined at s = {s}")
-    return s
+    lhs = math.pi ** (1.0 - 2.0 * s) * weight(s) * series(s)
+    rhs = weight(1.0 - s) * series(1.0 - s)
+    return abs(lhs - rhs)
 
 
 def functional_equation_residual(
@@ -487,11 +496,10 @@ def functional_equation_residual(
 ) -> float:
     """|pi^(1-2s) Gamma(s) E*(s,tau) - Gamma(1-s) E*(1-s,tau)|, both sides via
     the Chowla-Selberg evaluator."""
-    s = _check_fe_point(s, "functional equation residual")
     t = as_tau(tau)
-    lhs = math.pi ** (1.0 - 2.0 * s) * gamma(s) * eisenstein_cs(s, t, prec).value
-    rhs = gamma(1.0 - s) * eisenstein_cs(1.0 - s, t, prec).value
-    return abs(lhs - rhs)
+    return _fe_residual(
+        s, "functional equation residual", gamma, lambda sv: eisenstein_cs(sv, t, prec).value
+    )
 
 
 def remainder_fe_residual(
@@ -500,15 +508,12 @@ def remainder_fe_residual(
     """|pi^(1-2s) Gamma(s) Q(s,tau) - Gamma(1-s) Q(1-s,tau)| for the Bessel
     remainder.  Gamma(s) Q(s,tau) is formed as 8 pi^s tau2^(1/2) * (series),
     cancelling Gamma against 1/Gamma analytically."""
-    s = _check_fe_point(s, "remainder functional equation")
     t = as_tau(tau)
 
     def gamma_times_q(sv: complex) -> complex:
         return _divisor_bessel_series(sv, t, prec, 8.0 * math.pi**sv * math.sqrt(t.tau2))
 
-    lhs = math.pi ** (1.0 - 2.0 * s) * gamma_times_q(s)
-    rhs = gamma_times_q(1.0 - s)
-    return abs(lhs - rhs)
+    return _fe_residual(s, "remainder functional equation", lambda sv: 1.0, gamma_times_q)
 
 
 # ------------------------------------------------ Bessel-sum closed constants
@@ -593,81 +598,57 @@ def mellin_remainder_tau_i(
 
 
 def heat_kernel(
-    x: float, tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION
-) -> float:
+    x: float | np.ndarray, tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION
+) -> float | np.ndarray:
     """Lattice heat trace K(x, tau) = sum over all (m, n) in Z^2 of
-    exp(-|m + n tau|^2 pi x / tau2), truncated by a Gaussian tail rule.
-
-    The quadratic form |m + n tau|^2 (squared modulus) is the one satisfying
-    the inversion law K(x, tau) = x^(-1) K(1/x, tau)."""
-    t = as_tau(tau)
-    if not x > 0:
+    exp(-|m + n tau|^2 pi x / tau2), truncated by a Gaussian tail rule, with
+    the inversion law K(x, tau) = x^(-1) K(1/x, tau).  The form
+    |m + n tau|^2 / tau2 is SL(2, Z)-invariant, so the sum runs at tau
+    reduced.  An array of x is summed over one lattice enumeration, made for
+    the smallest x, one row of m per n; a scalar x returns a float."""
+    xs = np.asarray(x, dtype=float)
+    if not np.all(xs > 0):
         raise DomainError("heat_kernel requires x > 0")
-    rate = math.pi * x / t.tau2
+    z = fundamental_domain_reduce(tau)[0]
+    rates = math.pi * xs.reshape(-1, 1) / z.tau2
     cut = max(-math.log(min(prec.series_tail_tol, 1e-16)), 30.0) + 8.0
-    r2_max = cut / rate
-    n_lim = int(math.sqrt(r2_max) / t.tau2) + 1
-    total = 0.0
+    r2_max = cut / float(rates.min())
+    n_lim = int(math.sqrt(r2_max) / z.tau2) + 1
+    total = np.zeros(xs.size)
     for n in range(-n_lim, n_lim + 1):
-        height = (n * t.tau2) ** 2
+        height = (n * z.tau2) ** 2
         if height > r2_max:
             continue
         half_w = math.sqrt(r2_max - height)
-        m = np.arange(math.ceil(-n * t.tau1 - half_w), math.floor(-n * t.tau1 + half_w) + 1)
-        r2 = (m + n * t.tau1) ** 2 + height
-        total += float(np.sum(np.exp(-rate * r2)))
-    return total
+        m = np.arange(math.ceil(-n * z.tau1 - half_w), math.floor(-n * z.tau1 + half_w) + 1)
+        r2 = (m + n * z.tau1) ** 2 + height
+        total += np.sum(np.exp(-rates * r2), axis=1)
+    return float(total[0]) if xs.ndim == 0 else total.reshape(xs.shape)
 
 
 def theta_mellin_check(
     s: complex, tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION
 ) -> float:
-    """Consistency of the completed series E~(s) = (1/2) pi^(-s) Gamma(s) E*(s)
-    with (a) its Mellin heat-trace integral (1/2) int_0^inf (K(t)-1) t^(s-1) dt
-    for Re s > 1, and (b) the symmetry E~(s) = E~(1-s).  Returns the largest
-    applicable residual."""
+    """|E~(s) - (1/2) int_0^inf (K(t) - 1) t^(s-1) dt| for Re s > 1, with
+    E~(s) = (1/2) pi^(-s) Gamma(s) E*(s, tau).  The inversion law folds (0, 1)
+    onto (1, inf): the integral is 1/(s-1) - 1/s plus one adaptive Gauss call
+    for int_1^t_hi (K(t) - 1)(t^(s-1) + t^(-s)) dt.  Both sides run at tau
+    reduced, where the shortest lattice vector is 1, so K(t) - 1 decays like
+    e^(-pi t / tau2) and t_hi = max(2, 50 tau2 / pi)."""
     s = complex(s)
-    t = as_tau(tau)
-
-    def completed(sv: complex) -> complex:
-        return 0.5 * math.pi ** (-sv) * gamma(sv) * eisenstein_cs(sv, t, prec).value
-
-    residuals = []
-    # the symmetry side hits removable Gamma-pole/zero pairs at integer s;
-    # it is only computed where both completed values exist directly
-    if not (_near_nonpositive_integer(s, 1e-9) or _near_nonpositive_integer(1.0 - s, 1e-9)):
-        residuals.append(abs(completed(s) - completed(1.0 - s)))
-    if s.real <= 1.0:
-        if not residuals:
-            raise PoleError(
-                f"theta_mellin_check has no computable residual at s = {s}"
-            )
-        return max(residuals)
-
-    # (a): split at t = 1 and use the inversion law below it, so that
-    # int_0^1 (K(t)-1) t^(s-1) dt = 1/(s-1) - 1/s + int_0^1 (K(1/t)-1) t^(s-2) dt
+    if not s.real > 1.0:
+        raise DomainError("theta_mellin_check needs Re s > 1, where the Mellin integral converges")
+    z = fundamental_domain_reduce(tau)[0]
     tol = max(1e-13, 0.1 * prec.quad_rel_tol)
 
-    def below(tv: np.ndarray) -> np.ndarray:
-        vals = np.array([heat_kernel(1.0 / ti, t, prec) - 1.0 for ti in tv])
-        return vals * cpow(tv, s - 2.0)
+    def folded(tv: np.ndarray) -> np.ndarray:
+        return (heat_kernel(tv, z, prec) - 1.0) * (cpow(tv, s - 1.0) + cpow(tv, -s))
 
-    def above(tv: np.ndarray) -> np.ndarray:
-        vals = np.array([heat_kernel(ti, t, prec) - 1.0 for ti in tv])
-        return vals * cpow(tv, s - 1.0)
-
-    # the shortest nonzero m + n tau is d + c tau, (c, d) the bottom row of the
-    # g that takes tau into the fundamental domain; K(x) - 1 decays at that rate
-    g = fundamental_domain_reduce(t)[1]
-    t_hi = 50.0 * t.tau2 / (math.pi * ((g.d + g.c * t.tau1) ** 2 + (g.c * t.tau2) ** 2))
-    mellin = (
-        1.0 / (s - 1.0)
-        - 1.0 / s
-        + adaptive_gauss(below, 1e-9, 1.0, rel_tol=tol, abs_tol=1e-16).value
-        + adaptive_gauss(above, 1.0, max(t_hi, 2.0), rel_tol=tol, abs_tol=1e-16).value
-    )
-    residuals.append(abs(completed(s) - 0.5 * mellin))
-    return max(residuals)
+    t_hi = max(2.0, 50.0 * z.tau2 / math.pi)
+    quad = adaptive_gauss(folded, 1.0, t_hi, rel_tol=tol, abs_tol=1e-16)
+    mellin = 1.0 / (s - 1.0) - 1.0 / s + quad.value
+    completed = 0.5 * math.pi ** (-s) * gamma(s) * _cs_unreduced(s, z, prec).value
+    return abs(completed - 0.5 * mellin)
 
 
 # ------------------------------------------------------- quadrature identity

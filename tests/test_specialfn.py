@@ -385,6 +385,32 @@ def test_dedekind_sum_exact_rational():
     assert dedekind_sum_exact(1, 5) == Fraction(1, 5)
 
 
+def test_dedekind_sum_exact_matches_enumeration():
+    # the defining sum term by term, non-coprime pairs and negative h included
+    from fractions import Fraction
+
+    def enumerated(h: int, k: int) -> Fraction:
+        total = Fraction(0)
+        for n in range(1, k):
+            hn = Fraction(h * n, k)
+            total += Fraction(n, k) * (hn - math.floor(hn) - Fraction(1, 2))
+        return total
+
+    for k in range(1, 40):
+        for h in range(-45, 46):
+            assert dedekind_sum_exact(h, k) == enumerated(h, k)
+
+
+def test_dedekind_sum_exact_large_k():
+    # c = 1,607,521 reduces 0.7071067811865476 + 1e-13 i; reciprocity takes
+    # it in Euclid steps, and s(1, k) = (k - 1)(k - 2) / (12 k) checks one
+    from fractions import Fraction
+
+    k = 1_607_521
+    assert dedekind_sum_exact(1, k) == Fraction((k - 1) * (k - 2), 12 * k)
+    assert dedekind_sum_exact(k + 1, k) == dedekind_sum_exact(1, k)
+
+
 def test_dedekind_sum_domain():
     with pytest.raises(DomainError):
         dedekind_sum(1, 0)
