@@ -19,7 +19,7 @@ from .errors import (
     TruncationWarning,
     ZeroModeError,
 )
-from .eta import eta, eta_multiplier, eta_transform_check, fundamental_domain_reduce
+from .eta import eta, eta_multiplier, eta_transform_check, fundamental_domain_reduce, log_abs_eta
 from .operator1d import (
     OperatorSpec,
     log_det,

@@ -33,6 +33,7 @@ from .torus import (
     remainder_bessel,
     remainder_integral,
     zeta_laplacian,
+    zeta_laplacian_deriv0,
 )
 
 SCHEMA_VERSION = 1
@@ -176,6 +177,10 @@ def cmd_det(args: argparse.Namespace) -> int:
             raise UsageError("det torus requires --tau")
         tau = parse_tau(args.tau)
         closed = determinant_torus(tau, prec)
+        if closed < sys.float_info.min:
+            # both sides would round to 0.0 and their difference could not fail
+            d0 = zeta_laplacian_deriv0(tau, prec)
+            raise DomainError(f"det torus underflows: zeta'(0) = {d0!r} exceeds 708.4")
         numeric = determinant_torus_numeric(tau, prec)
         out["tau"] = [tau.tau1, tau.tau2]
     else:

@@ -1,14 +1,14 @@
 """Dedekind eta function on the upper half-plane and its transformation law
 under the full modular group, with the multiplier system built from
-Dedekind sums.
+Dedekind sums, plus log|eta|, which needs no multiplier.
 
 The q-product eta(tau) = e^(i pi tau/12) prod_{n>=1} (1 - e^(2 pi i n tau))
-converges at rate e^(-2 pi tau2); its log-factors log1p(-q^n) are summed by
-the package's one series driver, ``quadrature.sum_series``, with its
-stopping rule and its n_max warning.  Every point is first moved into the
+converges at rate e^(-2 pi tau2); its log, i pi tau/12 + sum log1p(-q^n), is
+summed by the package's one series driver, ``quadrature.sum_series``, with
+its stopping rule and its n_max warning.  Every point is first moved into the
 fundamental domain (tau2 >= sqrt(3)/2, so |q| <= 4.3e-3) with shift/inversion
-moves, the same reduction the E* routes of ``torus`` use, and the
-transformation law is applied backwards, which keeps factor counts small.
+moves, the same reduction the E* routes of ``torus`` use.  ``eta`` applies the
+transformation law backwards; ``log_abs_eta`` needs only |c tau + d|.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from .quadrature import sum_series
 from .specialfn import dedekind_sum_exact
 
 
-def _eta_product(tau: TauPoint, prec: Precision) -> complex:
-    """exp(i pi tau/12 + sum_{n>=1} log1p(-q^n)), q = e^(2 pi i tau), with
-    the log-factors summed by the series driver."""
+def _log_eta_product(tau: TauPoint, prec: Precision) -> complex:
+    """i pi tau/12 + sum_{n>=1} log1p(-q^n), q = e^(2 pi i tau), a log of
+    eta(tau), with the log-factors summed by the series driver."""
     z = tau.z
 
     def block(ns: np.ndarray) -> tuple[np.ndarray, int]:
@@ -33,7 +33,7 @@ def _eta_product(tau: TauPoint, prec: Precision) -> complex:
 
     ratio = math.exp(-2.0 * math.pi * tau.tau2)
     log_prod = sum_series(block, 1.0, ratio, prec, "eta product", None)
-    return cmath.exp(1j * math.pi * z / 12.0 + log_prod)
+    return 1j * math.pi * z / 12.0 + log_prod
 
 
 def fundamental_domain_reduce(tau: TauPoint | complex) -> tuple[TauPoint, Sl2zMatrix]:
@@ -84,14 +84,20 @@ def eta_multiplier(m: Sl2zMatrix) -> complex:
 
 
 def eta(tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION) -> complex:
-    """Dedekind eta function eta(tau) for tau in the upper half-plane."""
+    """Dedekind eta(tau): exp of the log q-product at z = tau reduced, times the
+    multiplier and root cocycle of delta = g^{-1}, both exactly 1 when z = tau."""
     z, g = fundamental_domain_reduce(tau)
     # tau = g^{-1} z, so eta(tau) = eta(delta z) with delta = g^{-1}
     delta = g.inverse()
-    val = _eta_product(z, prec)
-    if delta.c == 0 and delta.d == 1:
-        return eta_multiplier(delta) * val
+    val = cmath.exp(_log_eta_product(z, prec))
     return eta_multiplier(delta) * cmath.sqrt(delta.cocycle(z)) * val
+
+
+def log_abs_eta(tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION) -> float:
+    """log|eta(tau)| = (1/4) log(z2/tau2) + Re log eta(z), z = tau reduced: no
+    multiplier, Dedekind sum or cocycle, and finite where |eta(tau)| underflows."""
+    z = fundamental_domain_reduce(tau)[0]
+    return 0.25 * math.log(z.tau2 / as_tau(tau).tau2) + _log_eta_product(z, prec).real
 
 
 def eta_transform_check(

@@ -205,7 +205,6 @@ def scaled_bessel_k(nu: complex, xs: np.ndarray, rel_tol: float) -> QuadResult:
         if new <= w_max:
             break
         w_max = new
-    w_max = max(w_max, 1.0)
 
     nu_c = complex(nu)
     nu_arg: complex | float = nu_c if nu_c.imag != 0 else nu_c.real

@@ -40,7 +40,7 @@ from .domain import (
     require_finite,
 )
 from .errors import DomainError, PoleError, TruncationWarning
-from .eta import eta, fundamental_domain_reduce
+from .eta import fundamental_domain_reduce, log_abs_eta
 from .quadrature import (
     CHUNK,
     adaptive_gauss,
@@ -407,9 +407,9 @@ def zeta_laplacian(
 def zeta_laplacian_deriv0(
     tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION
 ) -> float:
-    """Closed form of d/ds zeta_Laplacian at s = 0: -log(tau2^2 |eta(tau)|^4)."""
-    t = as_tau(tau)
-    return -math.log(t.tau2**2 * abs(eta(t, prec)) ** 4)
+    """The paper's closed form of d/ds zeta_Laplacian at s = 0, -log(tau2^2 |eta(tau)|^4),
+    as -2 log tau2 - 4 log|eta(tau)|: finite where |eta(tau)| underflows."""
+    return -2.0 * math.log(as_tau(tau).tau2) - 4.0 * log_abs_eta(tau, prec)
 
 
 def zeta_laplacian_deriv0_numeric(
@@ -431,9 +431,8 @@ def zeta_laplacian_deriv0_numeric(
 def determinant_torus(
     tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION
 ) -> float:
-    """det of the tau-Laplacian: exp(-zeta'(0)) = tau2^2 |eta(tau)|^4."""
-    t = as_tau(tau)
-    return t.tau2**2 * abs(eta(t, prec)) ** 4
+    """det of the tau-Laplacian, exp(-zeta'(0)) = tau2^2 |eta(tau)|^4, from the closed zeta'(0)."""
+    return math.exp(-zeta_laplacian_deriv0(tau, prec))
 
 
 def determinant_torus_numeric(
@@ -471,7 +470,7 @@ def kronecker_constant(
     t = as_tau(tau)
     limit = float(_laurent_at_one(t, prec)[1])
     closed = 2.0 * math.pi * (
-        EULER_GAMMA - math.log(2.0) - math.log(math.sqrt(t.tau2) * abs(eta(t, prec)) ** 2)
+        EULER_GAMMA - math.log(2.0) - 0.5 * math.log(t.tau2) - 2.0 * log_abs_eta(t, prec)
     )
     return KroneckerLimit(limit, closed)
 
@@ -526,10 +525,7 @@ def nan_yue_williams_sum(
     paired with its closed form -(tau2^(-1/2)/2) log|eta(tau)| - tau2^(1/2) pi/24."""
     t = as_tau(tau)
     total = _divisor_bessel_series(0.0, t, prec).real
-    closed = (
-        -0.5 * t.tau2**-0.5 * math.log(abs(eta(t, prec)))
-        - math.sqrt(t.tau2) * math.pi / 24.0
-    )
+    closed = -0.5 * t.tau2**-0.5 * log_abs_eta(t, prec) - math.sqrt(t.tau2) * math.pi / 24.0
     return PairedValue(total, closed)
 
 
@@ -611,7 +607,7 @@ def heat_kernel(
         raise DomainError("heat_kernel requires x > 0")
     z = fundamental_domain_reduce(tau)[0]
     rates = math.pi * xs.reshape(-1, 1) / z.tau2
-    cut = max(-math.log(min(prec.series_tail_tol, 1e-16)), 30.0) + 8.0
+    cut = -math.log(min(prec.series_tail_tol, 1e-16)) + 8.0
     r2_max = cut / float(rates.min())
     n_lim = int(math.sqrt(r2_max) / z.tau2) + 1
     total = np.zeros(xs.size)

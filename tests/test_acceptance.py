@@ -129,13 +129,15 @@ def test_criterion_06_kronecker_limit_formula():
 def test_criterion_07_functional_equations():
     fe = max(
         functional_equation_residual(s, tau)
-        for s, tau in ((0.3, 1j), (2 + 0.5j, 0.4 + 0.7j), (0.5, 1j))
+        for s, tau in ((0.3, 1j), (2 + 0.5j, 0.4 + 0.7j), (0.5 + 2j, 1j))
     )
     feq = max(
         remainder_fe_residual(s, tau)
-        for s, tau in ((0.3, 1j), (-0.7, 0.2 + 1.5j), (0.5, 1j))
+        for s, tau in ((0.3, 1j), (-0.7, 0.2 + 1.5j), (0.5 + 2j, 1j))
     )
-    fep = max(zeta_p_functional_equation(u) for u in (3.0, 2.2, 0.5))
+    # points where the two sides are computed independently: no fixed point of
+    # s -> 1 - s, and no u whose zeta(1 - u) goes through the reflection under test
+    fep = max(zeta_p_functional_equation(u) for u in (1.3, -0.5, 0.3 + 2j))
     jacobi = max(
         abs(heat_kernel(x, tau) - heat_kernel(1.0 / x, tau) / x)
         for x in (0.5, 2.0, 5.0)

@@ -178,6 +178,21 @@ def test_det_torus(capsys):
     assert doc["difference"] < 1e-6
 
 
+def test_det_torus_refuses_underflow(capsys):
+    # reduced tau2 = 1e4: exp(-zeta'(0)) is 0.0 on both paths
+    code, out, _ = run(capsys, "det", "torus", "--tau", "0.1+1e-6i")
+    assert code == EXIT_DOMAIN
+    error = json.loads(out)["error"]
+    assert error["type"] == "DomainError"
+    assert "zeta'(0) = 10476.58" in error["message"]
+
+
+def test_table_det_keeps_underflowed_value(capsys):
+    code, out, _ = run(capsys, "table", "--tau", "0.1+1e-6i", "--columns", "det")
+    assert code == EXIT_OK
+    assert float(out.strip().splitlines()[1].split(",")[-1]) == 0.0
+
+
 def test_det_operator_free(capsys):
     code, out, _ = run(capsys, "det", "operator", "--potential", "0")
     assert code == EXIT_OK

@@ -11,6 +11,7 @@ from toruszeta.eta import (
     eta_multiplier,
     eta_transform_check,
     fundamental_domain_reduce,
+    log_abs_eta,
 )
 
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
@@ -65,6 +66,18 @@ def test_eta_matches_mpmath_qp(tau1, tau2):
         z = mp.mpc(tau1, tau2)
         ref = complex(mp.exp(mp.j * mp.pi * z / 12) * mp.qp(mp.exp(2 * mp.j * mp.pi * z)))
     assert abs(eta(complex(tau1, tau2)) - ref) <= 1e-13 * abs(ref)
+    log_ref = math.log(abs(ref))
+    assert abs(log_abs_eta(complex(tau1, tau2)) - log_ref) <= 1e-13 * max(1.0, abs(log_ref))
+
+
+def test_log_abs_eta_where_eta_underflows():
+    # eta(i y) = y^(-1/2) eta(i/y), and at 1/y = 1e4 the q-product is
+    # e^(-pi/(12 y)) to within e^(-2 pi 1e4)
+    y = 1e-4
+    assert eta(1j * y) == 0.0
+    exact = -0.5 * math.log(y) - math.pi / (12.0 * y)
+    assert abs(log_abs_eta(1j * y) - exact) <= 1e-15 * abs(exact)
+    assert math.isfinite(log_abs_eta(0.1 + 1e-6j))
 
 
 def test_eta_shift_relation():

@@ -560,13 +560,22 @@ def test_deriv0_numeric_matches_closed():
 
 
 def test_deriv0_numeric_matches_closed_at_small_tau2():
-    # the reduced point of 0.70710678... + i tau2 has a moderate tau2, so the
-    # closed form stays finite; the caller's log tau2 enters the numeric side
-    # only through the closed-form prefactor
-    for tau2 in (1e-6, 1e-13):
-        tau = 0.7071067811865476 + 1j * tau2
+    # the reduced point of 0.70710678... + i tau2 has a moderate tau2; that of
+    # 0.1 + 1e-6i has tau2 = 1e4, where |eta(tau)|^4 underflows but log|eta|
+    # does not.  The caller's log tau2 enters the numeric side only through
+    # the closed-form prefactor
+    for tau in (0.7071067811865476 + 1e-6j, 0.7071067811865476 + 1e-13j, 0.1 + 1e-6j):
         closed = zeta_laplacian_deriv0(tau)
         assert abs(zeta_laplacian_deriv0_numeric(tau) - closed) <= 1e-12 * abs(closed)
+
+
+def test_deriv0_equals_eta_form():
+    # the log form at tau reduced against -log(tau2^2 |eta|^4) with eta
+    # through its multiplier and cocycle
+    for tau in (0.3 + 0.2j, 2.7 + 0.05j, -0.45 + 0.6j):
+        closed = zeta_laplacian_deriv0(tau)
+        via_eta = -math.log(tau.imag**2 * abs(eta(tau)) ** 4)
+        assert abs(closed - via_eta) <= 1e-14 * abs(closed)
 
 
 def test_determinant_at_i():
@@ -604,6 +613,12 @@ def test_kronecker_limit_matches_closed_form():
     for tau in (1j, 0.2 + 1.3j):
         k = kronecker_constant(tau)
         assert k.residual < 1e-7
+
+
+def test_kronecker_closed_form_finite_where_eta_underflows():
+    # reduced tau2 = 1e4; the limit side is good to about 3e-8 relative here
+    k = kronecker_constant(0.1 + 1e-6j)
+    assert abs(k.limit_estimate - k.closed_form) <= 1e-7 * abs(k.closed_form)
 
 
 def test_kronecker_shift_invariance():
@@ -712,6 +727,7 @@ def test_nan_yue_williams_at_i():
     pair = nan_yue_williams_sum(1j)
     assert abs(pair.series - 0.000936341) < 5e-9
     closed = -0.5 * math.log(ETA_I) - math.pi / 24.0
+    assert abs(pair.series - closed) < 1e-13
     assert abs(pair.closed_form - closed) < 1e-15
     assert pair.residual < 1e-12
 
@@ -724,6 +740,7 @@ def test_nan_yue_williams_generic_tau():
 def test_lambert_q1_at_i():
     pair = lambert_q1(1j)
     assert abs(pair.series - 0.000936341) < 5e-9
+    assert abs(pair.series - (-0.5 * math.log(ETA_I) - math.pi / 24.0)) < 1e-13
     reduction = 0.5 * sum(1.0 / (n * math.expm1(2 * math.pi * n)) for n in range(1, 12))
     assert abs(pair.series - reduction) < 1e-12
     assert pair.residual < 1e-12
