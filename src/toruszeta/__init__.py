@@ -33,7 +33,6 @@ from .potentials import PotentialParseError, parse_potential
 from .specialfn import (
     bessel_k,
     cospi,
-    dedekind_sum,
     dedekind_sum_exact,
     gamma,
     lambert_series,

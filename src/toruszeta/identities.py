@@ -217,7 +217,7 @@ def registry() -> list[IdentityCheck]:
         add(IdentityCheck(
             f"kronecker.limit.tau={_fmt(tau)}",
             "lim (E* - pi/(s-1)) = 2 pi (gamma - log 2 - log(sqrt(tau2) |eta|^2))",
-            1e-7, False,
+            1e-13, False,
             lambda prec, t=tau: tuple(map(complex, kronecker_constant(t, prec))),
         ))
 
@@ -297,8 +297,8 @@ def registry() -> list[IdentityCheck]:
     for tau in (1j, 0.5 + 0.866j, 0.3 + 2j):
         add(IdentityCheck(
             f"det.torus.tau={_fmt(tau)}",
-            "exp(-zeta'(0)) from numerical differentiation = tau2^2 |eta|^4",
-            1e-6, True,
+            "exp(-zeta'(0)) from the contour rows at s = 0 = tau2^2 |eta|^4",
+            1e-13, True,
             lambda prec, t=tau: (
                 complex(determinant_torus_numeric(t, prec)),
                 complex(determinant_torus(t, prec)),

@@ -277,11 +277,6 @@ def dedekind_sum_exact(h: int, k: int) -> Fraction:
     return total
 
 
-def dedekind_sum(h: int, k: int) -> float:
-    """Dedekind sum s(h, k) (exact rational arithmetic, returned as float)."""
-    return float(dedekind_sum_exact(h, k))
-
-
 def lambert_series(
     alpha: complex, q: complex, prec: Precision = DEFAULT_PRECISION
 ) -> complex:

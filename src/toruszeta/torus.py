@@ -19,7 +19,9 @@ own and are summed at the tau they are given.
 The module also extracts the functional determinant, the constant term of the
 Laurent expansion at s = 1, the remainder functional equation, the divisor
 Bessel-sum constants, the lattice heat kernel with its inversion law, and the
-Mellin/theta consistency checks that tie everything together.
+Mellin/theta consistency checks that tie everything together.  The numeric
+zeta'(0) and Kronecker constant take no Taylor circle: each is the head in
+closed form plus a remainder, the contour rows at s = 0 or Q(1, tau).
 """
 
 from __future__ import annotations
@@ -273,33 +275,12 @@ def remainder_bessel(
     )
 
 
-def remainder_integral(
-    s: complex,
-    tau: TauPoint | complex,
-    prec: Precision = DEFAULT_PRECISION,
-    diag: Diagnostics | None = None,
+def _contour_series(
+    s: complex, t: TauPoint, prec: Precision, scale: complex, diag: Diagnostics | None = None
 ) -> complex:
-    """Branch-cut integral remainder (Re s < 1):
-
-    Q(s,tau) = 2 tau2^s sin(pi s)/pi * sum_{n>=1} int_0^inf du
-               (u^2 + 2 u n tau2)^(-s) d/du log[(1 - E1)(1 - E2)],
-    E1 = e^(-2 pi u - 2 pi i n conj(tau)), E2 = e^(-2 pi u + 2 pi i n tau).
-
-    Both exponentials have modulus rho = e^(-2 pi (u + n tau2)), so the
-    logarithmic derivative is 4 pi Re[E/(1-E)]
-    = 4 pi (rho c - rho^2) / (1 - 2 rho c + rho^2), c = cos(2 pi n tau1),
-    and the u-integrand has only the algebraic u^(-s) endpoint singularity.
-    A block of n is integrated at once, one row per n, by one tanh-sinh pass
-    over the fixed range (0, 8); past u = 8 each row has decayed by e^(-16 pi).
-    diag, if given, gains the terms summed and the quadrature evaluations.
-    """
-    s = complex(s)
-    t = as_tau(tau)
-    if not s.real < 1.0:
-        raise DomainError("the contour remainder is realized only for Re s < 1")
-    sp = sinpi(s)
-    if sp == 0:
-        return 0.0 + 0.0j
+    """scale * sum_{n>=1} I_n(s), I_n(s) = int_0^inf (u^2 + 2 u n tau2)^(-s)
+    d/du log[(1 - E1)(1 - E2)] du, a block of n by one tanh-sinh pass over
+    (0, 8), one row per n; past u = 8 each row has decayed by e^(-16 pi)."""
     tol = max(1e-14, 0.1 * prec.quad_rel_tol)
 
     def block(ns: np.ndarray) -> tuple[np.ndarray, int]:
@@ -316,11 +297,39 @@ def remainder_integral(
         res = tanh_sinh_rows(integrand, 0.0, 8.0, ns.size, tol=tol)
         return res.value, res.n_evals
 
-    pref = 2.0 * t.tau2**s * sp / math.pi
-    value = sum_series(
-        block, pref, math.exp(-2.0 * math.pi * t.tau2), prec, "remainder_integral", diag
+    return sum_series(
+        block, scale, math.exp(-2.0 * math.pi * t.tau2), prec, "remainder_integral", diag
     )
-    return require_finite(value, "remainder_integral")
+
+
+def remainder_integral(
+    s: complex,
+    tau: TauPoint | complex,
+    prec: Precision = DEFAULT_PRECISION,
+    diag: Diagnostics | None = None,
+) -> complex:
+    """Branch-cut integral remainder (Re s < 1):
+
+    Q(s,tau) = 2 tau2^s sin(pi s)/pi * sum_{n>=1} I_n(s),
+    I_n(s) = int_0^inf du (u^2 + 2 u n tau2)^(-s) d/du log[(1 - E1)(1 - E2)],
+    E1 = e^(-2 pi u - 2 pi i n conj(tau)), E2 = e^(-2 pi u + 2 pi i n tau).
+
+    Both exponentials have modulus rho = e^(-2 pi (u + n tau2)), so the
+    logarithmic derivative is 4 pi Re[E/(1-E)]
+    = 4 pi (rho c - rho^2) / (1 - 2 rho c + rho^2), c = cos(2 pi n tau1),
+    and the u-integrand has only the algebraic u^(-s) endpoint singularity.
+    _contour_series sums the rows; Q'(0) = 2 sum I_n(0), where Q(0) = 0.  diag,
+    if given, gains the terms summed and the quadrature evaluations.
+    """
+    s = complex(s)
+    t = as_tau(tau)
+    if not s.real < 1.0:
+        raise DomainError("the contour remainder is realized only for Re s < 1")
+    sp = sinpi(s)
+    if sp == 0:
+        return 0.0 + 0.0j
+    pref = 2.0 * t.tau2**s * sp / math.pi
+    return require_finite(_contour_series(s, t, prec, pref, diag), "remainder_integral")
 
 
 # ------------------------------------------------------------- E* evaluators
@@ -415,17 +424,16 @@ def zeta_laplacian_deriv0(
 def zeta_laplacian_deriv0_numeric(
     tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION
 ) -> float:
-    """Same derivative through the contour route at z = tau reduced, which
-    cross-validates the closed form: (log tau2 - 2 log 2 pi) E*(0, z) + a_1,
-    a_1 the Taylor coefficient of E*(s, z) alone on the circle |s| = 0.02
-    (the nearest pole is s = 1), E*(0, z) = -1 from the same route.  The
-    prefactor (2 pi)^(-2s) tau2^s is differentiated in closed form, so a
-    large |log tau2| costs the circle no digits."""
+    """Same derivative by the paper's contour proof, with neither Kronecker's
+    limit formula nor the functional equation.  At z = tau reduced, zeta'(0) =
+    (log tau2 - 2 log 2 pi) E*(0, z) + E*'(0, z), E*(0, z) = -1; the head's
+    derivative is -log z2 - 2 log 2 pi + pi z2/3 (zeta_R(0), zeta_R'(0) =
+    -(1/2) log 2 pi, 2 sqrt(pi) Gamma(-1/2) zeta_R(-1) = pi/3), and as sin 0 = 0,
+    Q'(0) = 2 sum I_n(0), the contour rows at s = 0 (I_n(0) = -log|1 - q^n|^2)."""
     t = as_tau(tau)
     z = fundamental_domain_reduce(t)[0]
-    a1 = taylor(lambda sv: _contour_unreduced(sv, z, prec).value, 0.0, 0.02)[1]
-    at_zero = _contour_unreduced(0.0, z, prec).value.real
-    return float((math.log(t.tau2) - 2.0 * math.log(2.0 * math.pi)) * at_zero + a1)
+    rows = _contour_series(0.0, z, prec, 2.0).real
+    return -math.log(t.tau2) - math.log(z.tau2) + math.pi * z.tau2 / 3.0 + rows
 
 
 def determinant_torus(
@@ -438,23 +446,17 @@ def determinant_torus(
 def determinant_torus_numeric(
     tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION
 ) -> float:
-    """Determinant through the numerically differentiated spectral zeta."""
+    """Determinant from zeta_laplacian_deriv0_numeric, the contour rows at s = 0."""
     return math.exp(-zeta_laplacian_deriv0_numeric(tau, prec))
 
 
-def _laurent_at_one(t: TauPoint, prec: Precision) -> np.ndarray:
-    """Taylor coefficients at s = 1 of the entire (s - 1) E*(s, tau), taken
-    on the circle |s - 1| = 0.05: a_0 is the residue, a_1 the constant term."""
-    return taylor(lambda z: (z - 1.0) * eisenstein_cs(z, t, prec).value, 1.0, 0.05)
-
-
 def pole_residue(tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION) -> float:
-    """Residue of E*(s, tau) at s = 1, a_0 of (s - 1) E*(s, tau); exact value is pi."""
-    return float(_laurent_at_one(as_tau(tau), prec)[0])
+    """Residue of E*(s, tau) at s = 1, a_0 of (s - 1) E* on |s - 1| = 0.05; exact value is pi."""
+    return float(taylor(lambda z: (z - 1.0) * eisenstein_cs(z, tau, prec).value, 1.0, 0.05)[0])
 
 
 class KroneckerLimit(NamedTuple):
-    limit_estimate: float  # lim_{s->1} (E*(s,tau) - pi/(s-1)), from a circle about 1
+    limit_estimate: float  # lim_{s->1} (E*(s,tau) - pi/(s-1)): the head's constant plus Q(1, tau)
     closed_form: float     # 2 pi (gamma - log 2 - log(tau2^(1/2) |eta|^2))
 
     @property
@@ -465,10 +467,13 @@ class KroneckerLimit(NamedTuple):
 def kronecker_constant(
     tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION
 ) -> KroneckerLimit:
-    """Constant term of E*(s, tau) at s = 1, both as the Taylor coefficient
-    a_1 of (s - 1) E*(s, tau) at 1 and in closed form through the eta function."""
+    """Constant term of E*(s, tau) at s = 1, taking no limit: at z = tau reduced,
+    the head's Laurent constant pi^2 z2/3 + 2 pi (gamma - log 2 - (1/2) log z2)
+    (psi(1/2) = -gamma - 2 log 2) plus Q(1, z); and in closed form through eta."""
     t = as_tau(tau)
-    limit = float(_laurent_at_one(t, prec)[1])
+    z = fundamental_domain_reduce(t)[0]
+    head = math.pi**2 * z.tau2 / 3.0 + 2.0 * math.pi * (EULER_GAMMA - math.log(2.0))
+    limit = head - math.pi * math.log(z.tau2) + remainder_bessel(1.0, z, prec).real
     closed = 2.0 * math.pi * (
         EULER_GAMMA - math.log(2.0) - 0.5 * math.log(t.tau2) - 2.0 * log_abs_eta(t, prec)
     )
