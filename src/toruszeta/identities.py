@@ -334,7 +334,7 @@ def registry() -> list[IdentityCheck]:
     add(IdentityCheck(
         "det.operator.cross.V=x(1-x)",
         "log det from zeta differentiation matches log(2 u_0(1))",
-        1e-6, False,
+        1e-12, False,
         lambda prec: (
             complex(log_det_numeric(vxx, prec)),
             complex(log_det(vxx, prec)),
@@ -438,7 +438,7 @@ def registry() -> list[IdentityCheck]:
         "zeta_R'(0) = -log(2 pi)/2 (Taylor coefficient on a circle about 0)",
         1e-9, False,
         lambda prec: (
-            complex(taylor(riemann_zeta, 0.0, 0.02)[1]),
+            complex(taylor(lambda zs: [riemann_zeta(z) for z in zs.tolist()], 0.0, 0.02)[1]),
             complex(-0.5 * math.log(2.0 * math.pi)),
         ),
     ))

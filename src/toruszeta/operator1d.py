@@ -21,7 +21,9 @@ u_(-t)(1) comes for all quadrature nodes at once from a sixth-order Magnus
 propagator (``transfer``), which also carries (u_(-t)(1) - u_0(1))/t, so the
 head integrand is formed without cancellation.  It is the package's only ODE
 solver: it takes real t in float arithmetic and complex t (complex lambda)
-in complex arithmetic, and it needs nothing beyond numpy.
+in complex arithmetic, and it needs nothing beyond numpy.  One propagator and
+one node table serve every s of a call (the circle points of log_det_numeric),
+each integrand's s-free part formed once per node.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import (
     TruncationWarning,
     ZeroModeError,
 )
-from .quadrature import _leggauss, adaptive_gauss, tanh_sinh, taylor
+from .quadrature import _leggauss, adaptive_gauss_rows, tanh_sinh, tanh_sinh_rows, taylor
 from .specialfn import cospi, cpow, gamma, riemann_zeta, rgamma, sinpi
 
 _SAMPLE_POINTS = np.linspace(0.0, 1.0, 101)
@@ -216,6 +218,55 @@ def _require_positive(u: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return u
 
 
+def _zeta_rows(
+    spec: OperatorSpec, ss: np.ndarray, prec: Precision = DEFAULT_PRECISION
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """zeta_operator's values and error estimates at each s of ss (s != 0 in
+    its window), and the evaluations spent: one propagator and one node table
+    serve every s, whose integrands are stacked rows that share the s-free
+    part of each node's value."""
+    propagate = _propagator(spec, prec)
+    u0 = float(propagate(np.zeros(1))[0][0])
+    # g(1) - g(0) - h(1), where h(1) = g(1) + log 2 - 1
+    constant = 1.0 - _checked_log_det(u0)
+    tol = max(1e-13, 0.1 * prec.quad_rel_tol)
+
+    def head(ts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # (g(t) - g0)/t = log1p(r)/t with r = t w_t/u0 = u_t/u0 - 1, formed
+        # from the carried w_t, so nothing of size t^(-1) is cancelled
+        u, _, w = propagate(ts)
+        _require_positive(u, ts)
+        r = ts * w / u0
+        ratio = np.divide(np.log1p(r), r, out=np.ones_like(r), where=r != 0.0)
+        return w / u0 * ratio * np.array([cpow(ts, -s) for s in ss[rows]])
+
+    def tail(xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # h(t) t^(-s) at t = e^x: int_1^400 h(t) t^(-s-1) dt in x = log t
+        ts = np.exp(xs)
+        root = np.sqrt(ts)
+        if spec._is_free:
+            # exact for V = 0: u = sinh(root)/root, so h = log(1 - e^(-2 root))
+            vals = np.log1p(-np.exp(-2.0 * root))
+        else:
+            u = _require_positive(propagate(ts)[0], ts)
+            vals = np.log(u) + np.log(2.0 * root) - root
+        return vals * np.array([cpow(ts, -s) for s in ss[rows]])
+
+    head_q = tanh_sinh_rows(head, 0.0, 1.0, ss.size, tol=tol, max_level=8)
+    tail_q = adaptive_gauss_rows(tail, 0.0, math.log(_TAIL_CUT), ss.size, rel_tol=tol, abs_tol=tol)
+    values = []
+    for s, integrals in zip(ss.tolist(), (head_q.value + tail_q.value).tolist()):
+        if not spec._is_free:
+            # analytic continuation of the neglected tail: h ~ (mean V / 2) t^(-1/2)
+            integrals += 0.5 * spec._mean_v * _TAIL_CUT ** (-s - 0.5) / (s + 0.5)
+        asy = sinpi(s) / (2.0 * math.pi) * (1.0 / (s - 0.5) - 1.0 / s)
+        value = asy + sinpi(s) / math.pi * (constant + s * integrals)
+        values.append(require_finite(value, "zeta_operator"))
+    errs = [abs(sinpi(s) / math.pi) * (abs(s) * e + 1e-13)
+            for s, e in zip(ss.tolist(), (head_q.err_estimate + tail_q.err_estimate).tolist())]
+    return np.array(values), np.array(errs), head_q.n_evals + tail_q.n_evals
+
+
 def zeta_operator(
     spec: OperatorSpec, s: complex, prec: Precision = DEFAULT_PRECISION
 ) -> EvalResult:
@@ -227,61 +278,21 @@ def zeta_operator(
     is -1/2 < Re s < 1 (the first neglected asymptotic order is restored
     analytically through the mean of V).
 
-    The lambda integral runs through tanh_sinh on [0, 1] and adaptive_gauss
-    in log lambda on [1, 400], each until its error estimate is within
-    max(1e-13, quad_rel_tol / 10) * max(1, |integral|)."""
+    The one-row case of _zeta_rows: the lambda integral runs through tanh-sinh
+    on [0, 1] and adaptive Gauss in log lambda on [1, 400], each row until its
+    error estimate is within max(1e-13, quad_rel_tol / 10) * max(1, |integral|)."""
     s = complex(s)
     if not s.real < 1.0:
         raise DomainError("zeta_operator requires Re s < 1")
     if not spec._is_free and s.real <= -0.5:
-        raise DomainError(
-            "for nonzero potentials the realized window is -1/2 < Re s < 1"
-        )
+        raise DomainError("for nonzero potentials the realized window is -1/2 < Re s < 1")
     if abs(s - 0.5) < 1e-12:
         raise PoleError("zeta_operator has its pole at s = 1/2")
     diag = Diagnostics()
     if abs(s) < 1e-300:  # the sin(pi s) factor kills everything but -1/2
         return EvalResult(-0.5 + 0.0j, 1e-15, "contour", diag)
-    asy = sinpi(s) / (2.0 * math.pi) * (1.0 / (s - 0.5) - 1.0 / s)
-
-    propagate = _propagator(spec, prec)
-    u0 = float(propagate(np.zeros(1))[0][0])
-    # g(1) - g(0) - h(1), where h(1) = g(1) + log 2 - 1
-    constant = 1.0 - _checked_log_det(u0)
-
-    tol = max(1e-13, 0.1 * prec.quad_rel_tol)
-
-    def head(ts: np.ndarray) -> np.ndarray:
-        # (g(t) - g0)/t = log1p(r)/t with r = t w_t/u0 = u_t/u0 - 1, formed
-        # from the carried w_t, so nothing of size t^(-1) is cancelled
-        u, _, w = propagate(ts)
-        _require_positive(u, ts)
-        r = ts * w / u0
-        ratio = np.divide(np.log1p(r), r, out=np.ones_like(r), where=r != 0.0)
-        return w / u0 * ratio * cpow(ts, -s)
-
-    def tail(xs: np.ndarray) -> np.ndarray:
-        # h(t) t^(-s) at t = e^x: int_1^400 h(t) t^(-s-1) dt in x = log t
-        ts = np.exp(xs)
-        root = np.sqrt(ts)
-        if spec._is_free:
-            # exact for V = 0: u = sinh(root)/root, so h = log(1 - e^(-2 root))
-            vals = np.log1p(-np.exp(-2.0 * root))
-        else:
-            u = _require_positive(propagate(ts)[0], ts)
-            vals = np.log(u) + np.log(2.0 * root) - root
-        return vals * cpow(ts, -s)
-
-    head_q = tanh_sinh(head, 0.0, 1.0, tol=tol, max_level=8)
-    tail_q = adaptive_gauss(tail, 0.0, math.log(_TAIL_CUT), rel_tol=tol, abs_tol=tol)
-    diag.quad_evals = head_q.n_evals + tail_q.n_evals
-    integrals = head_q.value + tail_q.value
-    if not spec._is_free:
-        # analytic continuation of the neglected tail: h ~ (mean V / 2) t^(-1/2)
-        integrals += 0.5 * spec._mean_v * _TAIL_CUT ** (-s - 0.5) / (s + 0.5)
-    value = asy + sinpi(s) / math.pi * (constant + s * integrals)
-    err = abs(sinpi(s) / math.pi) * (abs(s) * (head_q.err_estimate + tail_q.err_estimate) + 1e-13)
-    return EvalResult(require_finite(value, "zeta_operator"), err, "contour", diag)
+    values, errs, diag.quad_evals = _zeta_rows(spec, np.array([s]), prec)
+    return EvalResult(complex(values[0]), float(errs[0]), "contour", diag)
 
 
 def log_det(spec: OperatorSpec, prec: Precision = DEFAULT_PRECISION) -> float:
@@ -291,8 +302,9 @@ def log_det(spec: OperatorSpec, prec: Precision = DEFAULT_PRECISION) -> float:
 
 def log_det_numeric(spec: OperatorSpec, prec: Precision = DEFAULT_PRECISION) -> float:
     """-zeta'(0) as -a_1 of zeta_operator at 0, taken on the circle |s| = 0.01
-    (the nearest pole is s = 1/2), for cross-checks."""
-    return -float(taylor(lambda z: zeta_operator(spec, z, prec).value, 0.0, 0.01)[1])
+    (the nearest pole is s = 1/2), for cross-checks: its four points above the
+    axis are the rows of one _zeta_rows call, one propagator and node table."""
+    return -float(taylor(lambda zs: _zeta_rows(spec, zs, prec)[0], 0.0, 0.01)[1])
 
 
 def zeta_p(s: complex) -> complex:
@@ -333,7 +345,7 @@ def zeta_p_functional_equation(
         # zeta(1-u) has a trivial zero at 1-u = -(k-1); take the limit of
         # zeta(1-u)/cos(pi u/2) with zeta'(-(k-1)) from a circle about it
         m = (k - 1) // 2
-        zp = taylor(riemann_zeta, float(1 - k), 0.02)[1]
+        zp = taylor(lambda zs: [riemann_zeta(z) for z in zs.tolist()], float(1 - k), 0.02)[1]
         ratio = 2.0 * (-1.0) ** m * zp / math.pi
         rhs = 2.0**u * math.pi ** (u - 1.0) * (math.pi * rgamma(u) / 2.0) * ratio
         return abs(lhs - rhs)

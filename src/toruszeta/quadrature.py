@@ -23,7 +23,8 @@ Every numerical derivative and limit goes through ``taylor``: the Taylor
 coefficients of a function analytic on a small disc about a real point, from
 the trapezoid rule for Cauchy's integral on the circle, which converges
 geometrically in the number of points (Trefethen & Weideman, SIAM Rev. 56
-(2014) 385).
+(2014) 385).  Its f takes all the circle points at once, as an array, so
+work they share (the operator zeta function's propagator) is done once.
 
 Every q-expansion -- a series whose terms decay like |q|^n -- goes through
 the one series driver ``sum_series``: the divisor-Bessel, contour and Mellin
@@ -37,7 +38,6 @@ in a fixed order so results are bit-reproducible across runs.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -284,19 +284,20 @@ def tanh_sinh(
     return QuadResult(complex(res.value[0]), float(res.err_estimate[0]), res.n_evals)
 
 
-def taylor(f: Callable[[complex], complex], center: float, radius: float, m: int = 8) -> np.ndarray:
+def taylor(f: Integrand, center: float, radius: float, m: int = 8) -> np.ndarray:
     """Taylor coefficients a_0, ..., a_(m-1) of f about a real center: the
     m-point trapezoid rule for Cauchy's integral, at center + radius e^(i pi (2k+1)/m).
 
     m is even.  f must be analytic on the closed disc and real on the real axis,
     so f(conj z) = conj f(z): only the m/2 points above the axis are evaluated,
-    and the coefficients are real.  a_j is off by the aliased
-    -a_(j+m) radius^m + a_(j+2m) radius^(2m) - ..., O((radius/rho)^m) for a
-    nearest singularity at distance rho, and by rounding of order
-    eps max|f| / radius^j (Lyness & Moler, SIAM J. Numer. Anal. 4 (1967) 202).
+    in one call of f on the array of them, and the coefficients are real.  a_j
+    is off by the aliased -a_(j+m) radius^m + a_(j+2m) radius^(2m) - ...,
+    O((radius/rho)^m) for a nearest singularity at distance rho, and by
+    rounding of order eps max|f| / radius^j (Lyness & Moler, SIAM J. Numer.
+    Anal. 4 (1967) 202).
     """
     theta = math.pi * (2.0 * np.arange(m // 2) + 1.0) / m
-    vals = np.array([complex(f(center + radius * cmath.exp(1j * a))) for a in theta.tolist()])
+    vals = np.asarray(f(center + radius * np.exp(1j * theta)), dtype=complex)
     j = np.arange(m)
     return (2.0 / m) * (np.exp(-1j * np.outer(j, theta)) @ vals).real / radius**j
 

@@ -212,7 +212,7 @@ def _cs_main_terms(s: complex, t: TauPoint) -> complex:
     the circle |s - 1/2| = 0.1 (24 points; the nearest singularity is s = 1).
     """
     if abs(s - 0.5) < _HALF_WINDOW:
-        coeffs = taylor(lambda z: _cs_main_terms(z, t), 0.5, 0.1, 24)
+        coeffs = taylor(lambda zs: [_cs_main_terms(z, t) for z in zs.tolist()], 0.5, 0.1, 24)
         return complex(np.polynomial.polynomial.polyval(s - 0.5, coeffs))
     term1 = 2.0 * t.tau2**s * riemann_zeta(2.0 * s)
     rg = rgamma(s)
@@ -452,7 +452,9 @@ def determinant_torus_numeric(
 
 def pole_residue(tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION) -> float:
     """Residue of E*(s, tau) at s = 1, a_0 of (s - 1) E* on |s - 1| = 0.05; exact value is pi."""
-    return float(taylor(lambda z: (z - 1.0) * eisenstein_cs(z, tau, prec).value, 1.0, 0.05)[0])
+    return float(taylor(
+        lambda zs: [(z - 1.0) * eisenstein_cs(z, tau, prec).value for z in zs.tolist()], 1.0, 0.05
+    )[0])
 
 
 class KroneckerLimit(NamedTuple):

@@ -24,7 +24,13 @@ from toruszeta.operator1d import (
     zeta_p,
     zeta_p_functional_equation,
 )
-from toruszeta.quadrature import _leggauss, adaptive_gauss, tanh_sinh
+from toruszeta.quadrature import (
+    QuadResult,
+    _leggauss,
+    adaptive_gauss_rows,
+    tanh_sinh,
+    tanh_sinh_rows,
+)
 from toruszeta.specialfn import riemann_zeta, sinpi
 
 
@@ -165,27 +171,36 @@ def test_zeta_call_order_independent():
     assert zeta_operator(spec, 0.3).value == zeta_operator(fresh, 0.3).value
 
 
+def one_row(res: QuadResult) -> QuadResult:
+    """The QuadResult of a one-row call of a stacked quadrature core."""
+    (value,), (err,) = res.value, res.err_estimate
+    return QuadResult(complex(value), float(err), res.n_evals)
+
+
 def traced_tail(monkeypatch) -> list:
-    """Record (integrand, a, b, QuadResult) of each adaptive_gauss call that
-    zeta_operator makes: its lambda tail in x = log lambda."""
+    """Record (integrand, a, b, QuadResult) of each adaptive_gauss_rows call
+    that zeta_operator makes, its lambda tail in x = log lambda, as a one-row
+    integrand f(x) and result."""
     calls = []
 
-    def traced(f, a, b, **kwargs):
-        calls.append((f, a, b, adaptive_gauss(f, a, b, **kwargs)))
-        return calls[-1][3]
+    def traced(f, a, b, rows, **kwargs):
+        res = adaptive_gauss_rows(f, a, b, rows, **kwargs)
+        calls.append((lambda x: f(x, np.zeros(1, int))[0], a, b, one_row(res)))
+        return res
 
-    monkeypatch.setattr(operator1d, "adaptive_gauss", traced)
+    monkeypatch.setattr(operator1d, "adaptive_gauss_rows", traced)
     return calls
 
 
 def test_zeta_free_converges_and_counts_every_node(monkeypatch):
     heads = []
 
-    def traced_tanh_sinh(*args, **kwargs):
-        heads.append(tanh_sinh(*args, **kwargs))
-        return heads[-1]
+    def traced_tanh_sinh_rows(*args, **kwargs):
+        res = tanh_sinh_rows(*args, **kwargs)
+        heads.append(one_row(res))
+        return res
 
-    monkeypatch.setattr(operator1d, "tanh_sinh", traced_tanh_sinh)
+    monkeypatch.setattr(operator1d, "tanh_sinh_rows", traced_tanh_sinh_rows)
     tails = traced_tail(monkeypatch)
     for s in (0.7, 0.95):
         heads.clear()
@@ -328,11 +343,48 @@ def test_det_stable_under_tolerance_tightening():
 
 def test_det_numeric_cross_check():
     spec = OperatorSpec(lambda x: x * (1.0 - x), "vxx")
-    assert abs(log_det_numeric(spec) - log_det(spec)) < 1e-6
+    assert abs(log_det_numeric(spec) - log_det(spec)) < 1e-12
 
 
 def test_det_numeric_cross_check_free():
-    assert abs(log_det_numeric(free_spec()) - math.log(2.0)) < 1e-6
+    assert abs(log_det_numeric(free_spec()) - math.log(2.0)) < 1e-12
+
+
+# the four points above the axis of log_det_numeric's Taylor circle
+CIRCLE_S = [0.01 * cmath.exp(1j * math.pi * (2 * k + 1) / 8) for k in range(4)]
+
+
+@pytest.mark.parametrize("ss", [TAIL_S, CIRCLE_S], ids=["tail_s", "circle"])
+@pytest.mark.parametrize("name", ["free", "const4", "sin", "vxx"])
+def test_zeta_rows_match_one_row_calls(name, ss):
+    # the stacked core shares the propagator and the nodes, not the result:
+    # each row is the value zeta_operator gives for its s alone.  The rows
+    # share their tail panels, and a converged row has its tail to rounding
+    # on either panel set.  At 0.9-5i the head stops at its level cap and
+    # warns; that row's tail panels then move it within its err_estimate.
+    spec = OperatorSpec(TAIL_POTENTIALS[name], name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        rows = operator1d._zeta_rows(spec, np.array(ss, complex))[0]
+    for s, got in zip(ss, rows):
+        with warnings.catch_warnings(record=True) as capped:
+            warnings.simplefilter("always", TruncationWarning)
+            want = zeta_operator(spec, s)
+        bound = want.err_estimate if capped else 1e-15 * max(1.0, abs(want.value))
+        assert abs(got - want.value) <= bound
+
+
+def test_log_det_numeric_builds_one_propagator(monkeypatch):
+    built = []
+    propagator = operator1d._propagator
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return propagator(*args, **kwargs)
+
+    monkeypatch.setattr(operator1d, "_propagator", counted)
+    log_det_numeric(OperatorSpec(TAIL_POTENTIALS["vxx"], "vxx"))
+    assert len(built) == 1
 
 
 # log_det and zeta_operator refuse an operator by one shared check of u_0(1)
@@ -361,11 +413,14 @@ def test_negative_spectrum_rejected():
 
 def test_zeta_rejects_negative_spectrum():
     # one negative eigenvalue makes u_0(1) < 0; two leave u_0(1) > 0, and u
-    # changes sign on the integrated range instead
+    # changes sign on the integrated range instead.  The stacked rows of
+    # log_det_numeric check every node as a single s does.
     for shift in (math.pi**2 + 5.0, 4.0 * math.pi**2 + 5.0):
         spec = OperatorSpec(lambda x, c=-shift: c, "negative")
-        with pytest.raises(SpectrumError):
-            zeta_operator(spec, 0.3)
+        for call in (lambda: zeta_operator(spec, 0.3), lambda: log_det_numeric(spec),
+                     lambda: operator1d._zeta_rows(spec, np.array(CIRCLE_S))):
+            with pytest.raises(SpectrumError):
+                call()
 
 
 # ----------------------------------------------------- zeta_P worked example

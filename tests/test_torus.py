@@ -650,10 +650,15 @@ def test_kronecker_closed_form_finite_where_eta_underflows():
 
 
 def test_kronecker_shift_invariance():
-    a = kronecker_constant(1.0 + 1j)
-    b = kronecker_constant(1j)
-    assert abs(a.closed_form - b.closed_form) < 1e-13
-    assert abs(a.limit_estimate - b.limit_estimate) < 1e-7
+    # the constant is modular invariant; kronecker_constant takes the limit
+    # side at the reduced tau, so form it here at two unreduced images w of
+    # tau, where the Bessel remainder's transformation does the work
+    tau = 0.2 + 1.3j
+    closed = kronecker_constant(tau).closed_form
+    for w in (tau / (tau + 1.0), -1.0 / tau):
+        head = math.pi**2 * w.imag / 3.0 + 2.0 * math.pi * (EULER_GAMMA - math.log(2.0))
+        limit = head - math.pi * math.log(w.imag) + remainder_bessel(1.0, w).real
+        assert abs(limit - closed) <= 1e-13 * abs(closed)
 
 
 # ----------------------------------------------------- functional equations
