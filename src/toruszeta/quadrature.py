@@ -13,7 +13,9 @@ Each has one core, ``adaptive_gauss_rows`` and ``tanh_sinh_rows``, that
 integrates a stack of integrands sharing their abscissae (the n-terms of a
 series, say) in one pass.  Every Gauss integral but the fixed 32-point
 mean of V in ``OperatorSpec``, the lambda tail of the operator zeta function
-included, goes through ``adaptive_gauss_rows``.  A stacked integrand
+included, goes through ``adaptive_gauss_rows``.  K_nu is not a Gauss
+integral: ``specialfn.scaled_bessel_k`` is a nested trapezoid rule that
+evaluates its stacked rows through ``_pieces`` as well.  A stacked integrand
 f(x, rows) returns the rows asked for (an index array) as stacked rows,
 shape (len(rows), len(x)); every row meets its own tolerance, and no call
 of f sees more than CHUNK rows x abscissae.  The public functions are their

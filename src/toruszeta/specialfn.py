@@ -1,6 +1,7 @@
 """Self-contained special functions: complex Gamma, Riemann zeta with
-analytic continuation, the modified Bessel function K_nu by quadrature of
-its integral definition, divisor sums, Dedekind sums and Lambert series.
+analytic continuation, the modified Bessel function K_nu by the trapezoid
+rule on its integral definition, divisor sums, Dedekind sums and Lambert
+series.
 
 Everything here is a pure function of its inputs; the only state is a
 bounded, thread-safe memo on the one-value Bessel evaluator ``bessel_k``.
@@ -11,16 +12,23 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .domain import DEFAULT_PRECISION, Precision, require_finite
-from .errors import DomainError, PoleError
-from .quadrature import QuadResult, adaptive_gauss_rows, sum_series
+from .errors import DomainError, PoleError, TruncationWarning
+from .quadrature import QuadResult, _pieces, sum_series
 
 _POLE_TOL = 1e-12
+
+# scaled_bessel_k: trapezoid intervals on [0, w_max] before the first halving,
+# the most halvings, and the rounding of a node sum per unit of h sum |f|
+_FIRST_INTERVALS = 32
+MAX_HALVINGS = 10
+_ROUNDING = 4.0 * np.finfo(float).eps
 
 # Lanczos approximation, g = 607/128 with 15 coefficients (Godfrey's set);
 # relative accuracy ~1e-15 on the right half-plane.
@@ -183,7 +191,7 @@ def riemann_zeta(s: complex) -> complex:
 
 
 def scaled_bessel_k(nu: complex, xs: np.ndarray, rel_tol: float) -> QuadResult:
-    """exp(x) K_nu(x) for every x of xs, by one stacked quadrature.
+    """exp(x) K_nu(x) for every x of xs, by one stacked trapezoid rule.
 
     Substituting t = e^w in the defining integral
     K_nu(x) = 1/2 int_0^inf exp(-(x/2)(t + 1/t)) t^(nu-1) dt
@@ -193,6 +201,15 @@ def scaled_bessel_k(nu: complex, xs: np.ndarray, rel_tol: float) -> QuadResult:
     O(1) so each row is accurate relative to K's own (tiny) scale.  All rows
     share the range [0, w_max] of the smallest x, past which its integrand
     is below e^(-45); the larger x decay sooner.
+
+    The integrand is even in w, analytic in a strip about the real axis and
+    decays doubly exponentially, so the trapezoid rule converges
+    geometrically in 1/h (Trefethen & Weideman, SIAM Rev. 56 (2014) 385).
+    The step starts at w_max/32 and halves at most MAX_HALVINGS times, each
+    halving evaluating only the new odd nodes of the rows still running.  A
+    row stops once its change from the last halving is within
+    rel_tol * |row|; its err_estimate is that change plus the rounding of
+    its node sum, _ROUNDING * h * sum |f|, which is not part of the stop.
     """
     xs = np.asarray(xs, dtype=float)
     x = float(np.min(xs))
@@ -214,7 +231,39 @@ def scaled_bessel_k(nu: complex, xs: np.ndarray, rel_tol: float) -> QuadResult:
         # cosh(w) - 1 = -expm1(w) expm1(-w) / 2, accurate near w = 0
         return np.exp(col[rows] * (0.5 * np.expm1(w) * np.expm1(-w))) * np.cosh(nu_arg * w)
 
-    return adaptive_gauss_rows(f, 0.0, w_max, xs.size, rel_tol=rel_tol)
+    def node_sums(w: np.ndarray, weights: np.ndarray, rows: np.ndarray):
+        """sum weights * f and sum weights * |f| over the nodes w, per row."""
+        total, size = np.zeros(rows.size, complex), np.zeros(rows.size)
+        for piece, vals in _pieces(f, w, rows):
+            total += vals @ weights[piece]
+            size += np.abs(vals) @ weights[piece]
+        return total, size
+
+    n = _FIRST_INTERVALS
+    h = w_max / n
+    ends = np.ones(n + 1)
+    ends[[0, -1]] = 0.5
+    running = np.arange(xs.size)
+    value, scale = node_sums(h * np.arange(n + 1), ends, running)
+    value, scale = h * value, h * scale
+    n_evals = xs.size * (n + 1)
+    err = np.full(xs.size, math.inf)
+    for _ in range(MAX_HALVINGS):
+        h *= 0.5
+        fresh, fresh_scale = node_sums(h * np.arange(1, 2 * n, 2), np.ones(n), running)
+        n_evals += running.size * n
+        n *= 2
+        new = 0.5 * value[running] + h * fresh
+        err[running] = np.abs(new - value[running])
+        value[running] = new
+        scale[running] = 0.5 * scale[running] + h * fresh_scale
+        # a NaN row never converges, so it runs to the cap and warns
+        running = running[~(err[running] <= rel_tol * np.abs(new))]
+        if not running.size:
+            break
+    else:
+        warnings.warn(f"scaled_bessel_k hit MAX_HALVINGS = {MAX_HALVINGS}", TruncationWarning, 2)
+    return QuadResult(value, err + _ROUNDING * scale, n_evals)
 
 
 @lru_cache(maxsize=8192)

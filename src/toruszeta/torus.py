@@ -239,11 +239,19 @@ def _divisor_bessel_series(
     s: complex, t: TauPoint, prec: Precision, scale: complex = 1.0, diag: Diagnostics | None = None
 ) -> complex:
     """scale * sum_{n>=1} sigma_(1-2s)(n) cos(2 pi n tau1) K_(1/2-s)(2 pi n tau2) n^(s-1/2),
-    with the K_nu of a block of n from one stacked quadrature."""
+    with the K_nu of a block of n from one stacked quadrature.  diag, if
+    given, also gains a warning when a K_nu row's error estimate misses
+    quad_rel_tol, as it does where the quadrature stops at its cap."""
+    diag = diag if diag is not None else Diagnostics()
+    missed = f"K_nu quadrature above quad_rel_tol = {prec.quad_rel_tol:g}"
 
     def block(ns: np.ndarray) -> tuple[np.ndarray, int]:
         xs = 2.0 * math.pi * t.tau2 * ns
         k = scaled_bessel_k(0.5 - s, xs, prec.quad_rel_tol)
+        if missed not in diag.warnings and not np.all(
+            k.err_estimate <= prec.quad_rel_tol * np.abs(k.value)
+        ):
+            diag.warnings.append(missed)
         sig = np.array([sigma(1.0 - 2.0 * s, int(n)) for n in ns])
         bessel = k.value * np.exp(-xs)
         return sig * np.cos(2.0 * math.pi * t.tau1 * ns) * bessel * ns ** (s - 0.5), k.n_evals

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from toruszeta import quadrature
 from toruszeta.domain import Precision
 from toruszeta.errors import DomainError, PoleError, TruncationWarning
 from toruszeta.specialfn import (
@@ -305,13 +306,50 @@ def test_batched_bessel_matches_mpmath(nu, tau2):
     for x, k in zip(xs, got):
         with mp.workdps(30):
             ref = complex(mp.besselk(mp.mpc(nu), x))
-        assert abs(k - ref) <= 1e-12 * abs(ref)
+        assert abs(k - ref) <= 1e-14 * abs(ref)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.floats(min_value=0.05, max_value=3.0),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.integers(min_value=1, max_value=16),
+)
+def test_bessel_k_matches_mpmath_at_complex_order(tau2, nu_re, nu_im, n):
+    # every row of the Bessel series' stacked kernel at x_n = 2 pi n tau2, and
+    # the one-row bessel_k at one of them: within 1e-14 relative and within
+    # the kernel's own err_estimate (worst of 1,216 seeded points on this
+    # grid: 4.2e-16 relative, 0.47 of the estimate)
+    mp = pytest.importorskip("mpmath")
+    nu = complex(nu_re, nu_im)
+    xs = 2.0 * math.pi * tau2 * np.arange(1, 17)
+    res = scaled_bessel_k(nu, xs, 1e-12)
+    got, bound = res.value * np.exp(-xs), res.err_estimate * np.exp(-xs)
+    with mp.workdps(20):
+        refs = [complex(mp.besselk(mp.mpc(nu), x)) for x in xs]
+    for k, e, ref in zip(got, bound, refs):
+        assert abs(k - ref) <= 1e-14 * abs(ref)
+        assert abs(k - ref) <= e
+    one = bessel_k(nu, float(xs[n - 1]))
+    assert abs(one - refs[n - 1]) <= 1e-14 * abs(refs[n - 1])
 
 
 def test_bessel_k_is_the_one_row_kernel():
     for nu, x in ((0.3 + 0.7j, 1.9), (1.5, 0.4)):
         one = scaled_bessel_k(nu, np.array([x]), 1e-12).value[0] * math.exp(-x)
         assert abs(bessel_k(nu, x) - one) <= 1e-15 * abs(one)
+
+
+def test_scaled_bessel_k_usually_takes_two_integrand_calls(monkeypatch):
+    # the 33 nodes of h = w_max/32, then the 32 new odd nodes of one halving;
+    # a smaller CHUNK splits the calls and leaves the values in place
+    xs = 2.0 * math.pi * np.arange(1, 9)
+    whole = scaled_bessel_k(0.2 - 0.7j, xs, 1e-12)
+    assert whole.n_evals == xs.size * 65
+    monkeypatch.setattr(quadrature, "CHUNK", 64)
+    parts = scaled_bessel_k(0.2 - 0.7j, xs, 1e-12)
+    assert np.allclose(parts.value, whole.value, rtol=1e-15, atol=0.0)
 
 
 def test_bessel_domain():

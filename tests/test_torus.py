@@ -11,7 +11,7 @@ from toruszeta.domain import DEFAULT_PRECISION, Diagnostics, Precision, Sl2zMatr
 from toruszeta.errors import DomainError, PoleError, TruncationWarning
 from toruszeta.eta import eta, fundamental_domain_reduce
 from toruszeta.quadrature import adaptive_gauss, tanh_sinh
-from toruszeta.specialfn import bessel_k, gamma, rgamma, riemann_zeta, sigma
+from toruszeta.specialfn import MAX_HALVINGS, bessel_k, gamma, rgamma, riemann_zeta, sigma
 from toruszeta.torus import (
     _contour_series,
     _cs_unreduced,
@@ -754,6 +754,17 @@ def test_series_cap_warns(call, n_max, messages):
     with pytest.warns(TruncationWarning) as caught:
         call(Precision(n_max=n_max))
     assert [str(w.message) for w in caught] == [f"{m} hit n_max = {n_max}" for m in messages]
+
+
+def test_bessel_cap_hit_reaches_the_diagnostics():
+    # at Im s = 15 the K_nu rows cancel to about e^(-15 pi / 2) of their
+    # integrand, so the trapezoid halvings chase rounding to their cap
+    # (ROADMAP item 4); the cap hit warns and is in the result's diagnostics
+    with pytest.warns(TruncationWarning) as caught:
+        res = eisenstein_cs(0.3 + 15j, 0.1 + 1j)
+    assert {str(w.message) for w in caught} == {f"scaled_bessel_k hit MAX_HALVINGS = {MAX_HALVINGS}"}
+    assert res.diagnostics.warnings == ["K_nu quadrature above quad_rel_tol = 1e-12"]
+    assert eisenstein_cs(0.3 + 1j, 0.1 + 1j).diagnostics.warnings == []
 
 
 def test_nan_yue_williams_at_i():
