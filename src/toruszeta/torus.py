@@ -2,7 +2,8 @@
 completed Eisenstein series E*(s, tau), by three independent routes:
 
 * ``direct``          -- lattice sum over square shells (Re s > 1), with the
-                         shell tail eliminated through its asymptotic expansion;
+                         shell tail eliminated through its asymptotic expansion,
+                         fitted along a doubling ladder of shells from K = 5;
 * ``chowla_selberg``  -- two Riemann-zeta terms plus an exponentially
                          convergent Bessel remainder (all s != 1);
 * ``contour``         -- the same two zeta terms plus the branch-cut integral
@@ -131,16 +132,18 @@ def eisenstein_direct(
     at tau reduced to the fundamental domain.
 
     The shell max(|m|,|n|) <= K is a midpoint rule on [-N, N]^2, N = K + 1/2,
-    so its partial sum is S(K) = E - a N^(2-2s) - b N^(-2s) - c N^(-2s-2) - ...,
-    with only even gaps past the singular term (Lyness, Math. Comp. 30 (1976) 1).
-    Partial sums at K = 20, 40, 80, ... are fitted to the first three terms:
-    from the fifth checkpoint on, the fit through the last four is checked
-    against the fit through the four before, and the ladder stops once they
-    agree to quad_rel_tol.  err_estimate is their difference plus the
-    rounding of the partial sums (u = _SUM_ROUNDING each) carried through the fit.
-    If n_max stops the ladder before five checkpoints, every checkpoint is
-    fitted and checked against the fit without the first (with two, against
-    the first raw partial sum).
+    so its partial sum is S(K) = E - a N^(2-2s) - b N^(-2s) - c N^(-2s-2) -
+    d N^(-2s-4) - ..., with only even gaps past the singular term (Lyness,
+    Math. Comp. 30 (1976) 1).  Partial sums at K = 5, 10, 20, ... are fitted
+    through windows of w to the first w - 1 terms: at each checkpoint the fit
+    through the last w is checked against the fit through the w before, for
+    w = 5 and then w = 4 (which agrees first at large tau2), and the ladder
+    stops once a pair agrees to quad_rel_tol.  err_estimate is the pair's
+    difference plus the rounding of the partial sums (u = _SUM_ROUNDING each)
+    carried through the fit.  If n_max stops the ladder before five
+    checkpoints, every checkpoint is fitted and checked against the fit
+    without the first (with two, against the first raw partial sum); after,
+    the last four-point pair is returned.
     """
     return _at_reduced(_direct_unreduced, s, tau, prec)
 
@@ -172,20 +175,23 @@ def _direct_unreduced(s: complex, t: TauPoint, prec: Precision) -> EvalResult:
         raise DomainError("the direct sum needs n_max >= 2 for two checkpoints")
     partials: list[tuple[int, complex]] = []
     running = 0.0 + 0.0j
-    k = 20 if prec.n_max > 20 else prec.n_max // 2  # a lone checkpoint is its own check
-    while True:
+    k = 5 if prec.n_max > 5 else prec.n_max // 2  # a lone checkpoint is its own check
+    agreed = False
+    while not agreed:
         blk, cnt = _square_sum_block(s, t, partials[-1][0] if partials else 0, k)
         running += blk
         diag.terms_used += cnt
         partials.append((k, running))
         if len(partials) >= 5:
-            (full, rounding), (check, _) = fit(partials[-4:]), fit(partials[-5:-1])
-            if abs(full - check) <= prec.quad_rel_tol * abs(full):
-                break
+            for w in (5, 4) if len(partials) > 5 else (4,):
+                (full, rounding), (check, _) = fit(partials[-w:]), fit(partials[-w - 1 : -1])
+                agreed = abs(full - check) <= prec.quad_rel_tol * abs(full)
+                if agreed:
+                    break
         elif len(partials) > 1:
             full, rounding = fit(partials)
             check = fit(partials[1:])[0] if len(partials) > 2 else partials[0][1]
-        if k == prec.n_max:  # never the first checkpoint
+        if not agreed and k == prec.n_max:  # never the first checkpoint
             diag.warnings.append(f"checkpoint ladder stopped by n_max = {prec.n_max}")
             warnings.warn(stopped, TruncationWarning, stacklevel=4)
             break

@@ -101,10 +101,18 @@ def test_direct_truncation_cap_warns():
 
 # at s = 3, tau = 0.5+0.6i, n_max = 2 the distance from the extrapolant to the
 # last raw partial sum is half the actual error; n_max = 2 and 3 leave two and
-# three checkpoints from K = 1, 50 leaves three (20, 40, 50) and 100 and 150
-# four, all short of the five that the stop rule needs
-@pytest.mark.parametrize("n_max", [2, 3, 50, 100, 150])
-@pytest.mark.parametrize("s, tau", [(2.0, 1j), (3.0, 0.5 + 0.6j), (1.2 + 0.5j, 0.3 + 0.9j)])
+# three checkpoints from K = 1, and 6, 20 and 40 leave two, three and four from
+# K = 5, all short of the five that the stop rule needs; 50, 80, 100 and 150
+# cut the ladder at its fifth or sixth checkpoint, before its fits agree
+# (s = 2, tau = i and s = 3, tau = 0.5+0.6i stop at K = 160 and K = 80)
+@pytest.mark.parametrize(
+    "s, tau, n_max",
+    [
+        *[(2.0, 1j, n_max) for n_max in (2, 3, 20, 50, 80)],
+        *[(3.0, 0.5 + 0.6j, n_max) for n_max in (2, 3, 6, 20, 40)],
+        *[(1.2 + 0.5j, 0.3 + 0.9j, n_max) for n_max in (2, 3, 50, 100, 150)],
+    ],
+)
 def test_direct_clipped_ladder_error_estimate_bounds_error(s, tau, n_max):
     with pytest.warns(TruncationWarning):
         res = eisenstein_direct(s, tau, Precision(n_max=n_max))
@@ -117,18 +125,18 @@ def test_direct_needs_two_checkpoints():
 
 
 def test_direct_ladder_cut_past_five_checkpoints_warns_and_bounds_error():
-    # at s = 1.001 the ladder needs K = 640; n_max = 300 cuts it at 20, ..., 160, 300
+    # at s = 1.001 the ladder needs K = 320; n_max = 150 cuts it at 5, ..., 80, 150
     with pytest.warns(TruncationWarning):
-        res = eisenstein_direct(1.001, 1j, Precision(n_max=300))
+        res = eisenstein_direct(1.001, 1j, Precision(n_max=150))
     assert res.err_estimate >= abs(res.value - eisenstein_cs(1.001, 1j).value)
 
 
 def test_direct_warns_only_when_n_max_stops_the_ladder():
-    # at s = 2, tau = i the fits through 20..160 and 40..320 agree, so an
-    # n_max at the fifth checkpoint does not stop the ladder
+    # at s = 2, tau = i the fits through 5..80 and 10..160 agree, so an
+    # n_max at the sixth checkpoint does not stop the ladder
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        capped = eisenstein_direct(2.0, 1j, Precision(n_max=320))
+        capped = eisenstein_direct(2.0, 1j, Precision(n_max=160))
     assert capped.value == eisenstein_direct(2.0, 1j).value
     assert not capped.diagnostics.warnings
 
@@ -178,9 +186,10 @@ def e_star_mpmath(s: complex, tau: complex) -> complex:
     ],
 )
 def test_direct_matches_mpmath(s, tau):
+    # worst of these 8 points: 1.1e-15 relative; three-term fits alone erred by 6.9e-15
     ref = e_star_mpmath(s, tau)
     res = eisenstein_direct(s, tau)
-    assert abs(res.value - ref) <= 1e-13 * abs(ref)
+    assert abs(res.value - ref) <= 5e-15 * abs(ref)
     assert res.err_estimate >= abs(res.value - ref)
 
 
@@ -204,10 +213,21 @@ def test_direct_on_a_skewed_basis_matches_mpmath(s, tau):
 @pytest.mark.parametrize("s", [1.02 + 2j, 1.02])
 def test_direct_sums_a_sheared_lattice_at_its_reduced_point(s):
     # tau = 3 + 0.05i reduces to 20i; summed on the basis (1, tau) the ladder
-    # took 4.0e8 lattice points
+    # took 4.0e8 lattice points.  At 20i the ladder runs to K = 1280, where
+    # the four-point fits through 80..640 and 160..1280 agree: 6,558,720
+    # points.  A stop rule on the five-point fits alone, whose check window
+    # reaches back to K of order tau2, took 26.2M
     res = eisenstein_direct(s, 3 + 0.05j)
-    assert res.diagnostics.terms_used <= 1e7
+    assert res.diagnostics.terms_used <= 6_558_720
     assert abs(res.value - eisenstein_cs(s, 3 + 0.05j).value) <= 1e-13 * abs(res.value)
+
+
+@pytest.mark.parametrize("tau", [1j, 0.2 + 1.7j])
+def test_direct_stops_at_the_sixth_checkpoint(tau):
+    # the five-point fits through 5..80 and 10..160 agree: K = 160 is
+    # 321^2 - 1 lattice points (a ladder from K = 20 needed K = 320)
+    res = eisenstein_direct(2.5 + 1j, tau)
+    assert res.diagnostics.terms_used <= 103_040
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
