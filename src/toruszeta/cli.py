@@ -131,11 +131,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         result["s"] = _cnum(s)
         result["tau"] = [tau.tau1, tau.tau2]
         if what == "remainder":
-            method = args.method or "chowla_selberg"
-            fn = {"chowla_selberg": remainder_bessel, "cs": remainder_bessel,
-                  "contour": remainder_integral}.get(method)
-            if fn is None:
-                raise UsageError(f"remainder method must be chowla_selberg or contour")
+            if args.method == "direct":
+                raise UsageError("remainder method must be chowla_selberg or contour")
+            fn = remainder_integral if args.method == "contour" else remainder_bessel
             result["method"] = "chowla_selberg" if fn is remainder_bessel else "contour"
             result["value"] = _cnum(fn(s, tau, prec))
         else:
@@ -379,7 +377,8 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--s", default=None, help="complex argument, format a+bi")
     p_eval.add_argument("--tau", default=None, help="upper half-plane point, format a+bi")
     p_eval.add_argument("--method", default=None,
-                        help="direct | chowla_selberg | contour (where applicable)")
+                        choices=["direct", "chowla_selberg", "cs", "contour"],
+                        help="E* route (where applicable; cs is chowla_selberg)")
     _add_precision_flags(p_eval)
     p_eval.set_defaults(fn=cmd_eval)
 

@@ -59,8 +59,8 @@ class OperatorSpec:
 
     potential: Callable[[float], float]
     label: str = ""
-    _is_free: bool = field(default=False, repr=False)
-    _mean_v: float = field(default=0.0, repr=False)
+    _is_free: bool = field(init=False, repr=False)
+    _mean_v: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         samples = np.array([float(self.potential(x)) for x in _SAMPLE_POINTS])

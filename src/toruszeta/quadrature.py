@@ -9,17 +9,18 @@ before its tolerance is met:
   geometrically even when the integrand has an integrable algebraic
   singularity u^(-s) (complex s, Re s < 1) at an endpoint.
 
-Each has one core, ``adaptive_gauss_rows`` and ``tanh_sinh_rows``, that
-integrates a stack of integrands sharing their abscissae (the n-terms of a
-series, say) in one pass.  Every Gauss integral but the fixed 32-point
-mean of V in ``OperatorSpec``, the lambda tail of the operator zeta function
-included, goes through ``adaptive_gauss_rows``.  K_nu is not a Gauss
-integral: ``specialfn.scaled_bessel_k`` is a nested trapezoid rule that
-evaluates its stacked rows through ``_pieces`` as well.  A stacked integrand
-f(x, rows) returns the rows asked for (an index array) as stacked rows,
-shape (len(rows), len(x)); every row meets its own tolerance, and no call
-of f sees more than CHUNK rows x abscissae.  The public functions are their
-one-row cases.
+They rest on two cores, each integrating a stack of integrands sharing their
+abscissae (the n-terms of a series, say) in one pass.  The Gauss core is
+``adaptive_gauss_rows``; every Gauss integral but the fixed 32-point mean of
+V in ``OperatorSpec``, the lambda tail of the operator zeta function
+included, goes through it.  The trapezoid core is ``trapezoid_rows``, the
+nested trapezoid rule that halves its step and stops each row on its own
+change: tanh-sinh is that rule after the double-exponential map
+(``tanh_sinh_rows``), and ``specialfn.scaled_bessel_k`` is that rule on
+K_nu's integral.  A stacked integrand f(x, rows) returns the rows asked for
+(an index array) as stacked rows, shape (len(rows), len(x)); every row meets
+its own tolerance, and no call of f sees more than CHUNK rows x abscissae.
+The public functions are their one-row cases.
 
 Every numerical derivative and limit goes through ``taylor``: the Taylor
 coefficients of a function analytic on a small disc about a real point, from
@@ -60,6 +61,7 @@ CHUNK = 2**15  # rows x abscissae per integrand call; keeps the peak memory flat
 
 _FIRST_BLOCK, _BLOCK = 8, 16  # series terms computed per block, first and later
 _TINY = np.finfo(float).tiny
+_ROUNDING = 4.0 * np.finfo(float).eps  # trapezoid_rows: rounding of a node sum per unit of int |f|
 
 # glibc gives freed heap back to the OS once its top free block passes a trim
 # threshold that starts at 128 KB and rises only when a larger mmapped block
@@ -119,10 +121,6 @@ def _pieces(f: RowIntegrand, x: np.ndarray, rows: np.ndarray):
         if np.shape(vals) != (rows.size, xs.size):
             vals = np.broadcast_to(vals, (rows.size, xs.size))
         yield piece, vals
-
-
-def _one_row(f: Integrand) -> RowIntegrand:
-    return lambda x, rows: f(x)
 
 
 def adaptive_gauss_rows(
@@ -190,16 +188,58 @@ def adaptive_gauss(
 ) -> QuadResult:
     """int_a^b f by adaptive_gauss_rows with one row: the summed error
     estimate meets max(abs_tol, rel_tol * |integral|)."""
-    res = adaptive_gauss_rows(_one_row(f), a, b, 1, rel_tol, abs_tol)
+    res = adaptive_gauss_rows(lambda x, rows: f(x), a, b, 1, rel_tol, abs_tol)
     return QuadResult(complex(res.value[0]), float(res.err_estimate[0]), res.n_evals)
 
 
+def trapezoid_rows(
+    f: RowIntegrand, nodes: Callable[[int], tuple[np.ndarray, np.ndarray, float]], rows: int,
+    tol: float, floor: float, first: int, last: int, cap: str,
+) -> QuadResult:
+    """The nested trapezoid rule for a stack of integrands sharing their
+    abscissae: f(x, rows) has shape (rows.size, x.size).
+
+    nodes(level) returns the abscissae, weights and step h of a level: every
+    node at level 0, only the new odd nodes after, which the rows still
+    running add to half the last sum.  From level first on, a row stops once
+    its change is within tol * max(floor, |row|); running on past level last
+    warns (TruncationWarning, cap).  err_estimate is a row's last change plus
+    the rounding of its node sums, 4 eps int |f|, with int |f| taken from
+    the level-0 nodes; the rounding is not part of the stop.  n_evals counts
+    the rows x abscissae that f received.
+    """
+    running = np.arange(rows)
+    scale, err = np.zeros(rows), np.full(rows, math.inf)
+    n_evals = 0
+    for level in range(max(last, 0) + 1):  # level 0 always
+        x, w, h = nodes(level)
+        fresh = np.zeros(running.size, complex)
+        for piece, vals in _pieces(f, x, running):
+            fresh += vals @ w[piece]
+            if not level:
+                scale += np.abs(vals) @ w[piece]
+        n_evals += running.size * x.size
+        if not level:
+            value, rounding = h * fresh, (_ROUNDING * h) * scale
+            continue
+        new = 0.5 * value[running] + h * fresh
+        err[running] = np.abs(new - value[running])
+        value[running] = new
+        if level >= first:
+            # a NaN row never converges, so it runs to the cap and warns
+            running = running[~(err[running] <= tol * np.maximum(floor, np.abs(new)))]
+            if not running.size:
+                break
+    else:
+        warnings.warn(cap, TruncationWarning, 3)
+    return QuadResult(value, err + rounding, n_evals)
+
+
 @lru_cache(maxsize=64)
-def _tanh_sinh_nodes(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Abscissae and weights of one tanh-sinh level on (a, b): u = k h with
-    h = 2^-level, every k at level 0 and the odd k after, |u| <= U_MAX.
-    Nodes that round onto an endpoint or get a zero weight are dropped; the
-    count of all of them is returned as well."""
+def _tanh_sinh_nodes(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Abscissae, weights and step h = 2^-level of one tanh-sinh level on
+    (a, b): u = k h, every k at level 0 and the odd k after, |u| <= U_MAX.
+    Nodes that round onto an endpoint or get a zero weight are dropped."""
     h = 0.5**level
     kmax = int(U_MAX / h)
     k = np.arange(-kmax, kmax + 1)
@@ -220,7 +260,7 @@ def _tanh_sinh_nodes(a: float, b: float, level: int) -> tuple[np.ndarray, np.nda
     x, w = x[keep], w[keep]
     x.setflags(write=False)
     w.setflags(write=False)
-    return x, w, k.size
+    return x, w, h
 
 
 def tanh_sinh_rows(
@@ -238,39 +278,15 @@ def tanh_sinh_rows(
     the weight decays doubly exponentially, which tames integrable endpoint
     singularities.  Abscissae near the endpoints are formed as offsets
     2r/(1+exp(-+2 theta)) to avoid cancellation, so f sees points that are
-    accurate *relative to the endpoint distance* when a or b is 0.  The step
-    halves from 1, at least 3 and at most max_level times.  A row stops
-    once its change is within tol * max(1, |row integral|); later levels
-    evaluate only the rows still running.
+    accurate *relative to the endpoint distance* when a or b is 0.  The rule
+    is trapezoid_rows in u: the step halves from 1, at least 3 and at most
+    max_level times, and a row stops once its change is within
+    tol * max(1, |row integral|).
     """
     if not b > a:
         raise DomainError("tanh_sinh requires b > a")
-
-    def level_sum(level: int, rows: np.ndarray) -> tuple[np.ndarray, int]:
-        x, w, count = _tanh_sinh_nodes(a, b, level)
-        total = np.zeros(rows.size, complex)
-        for piece, vals in _pieces(f, x, rows):
-            total += vals @ w[piece]
-        return total, rows.size * count
-
-    # level 0: trapezoid over u = k, h = 1
-    running = np.arange(rows)
-    value, n_evals = level_sum(0, running)
-    err = np.full(rows, math.inf)
-    for level in range(1, max_level + 1):
-        fresh, evals = level_sum(level, running)
-        n_evals += evals
-        total = 0.5 * value[running] + 0.5**level * fresh
-        err[running] = np.abs(total - value[running])
-        value[running] = total
-        if level >= 3:
-            # a NaN row never converges, so it runs to the cap and warns
-            running = running[~(err[running] <= tol * np.maximum(1.0, np.abs(total)))]
-            if not running.size:
-                break
-    else:
-        warnings.warn(f"tanh_sinh hit max_level = {max_level}", TruncationWarning, 2)
-    return QuadResult(value, err, n_evals)
+    return trapezoid_rows(f, lambda level: _tanh_sinh_nodes(a, b, level), rows, tol, 1.0, 3,
+                          max_level, f"tanh_sinh hit max_level = {max_level}")
 
 
 def tanh_sinh(
@@ -282,7 +298,7 @@ def tanh_sinh(
 ) -> QuadResult:
     """int_a^b f by tanh_sinh_rows with one row: converges geometrically even
     for an integrable algebraic singularity at an endpoint."""
-    res = tanh_sinh_rows(_one_row(f), a, b, 1, tol, max_level)
+    res = tanh_sinh_rows(lambda x, rows: f(x), a, b, 1, tol, max_level)
     return QuadResult(complex(res.value[0]), float(res.err_estimate[0]), res.n_evals)
 
 
@@ -319,8 +335,8 @@ def sum_series(
     two consecutive scaled terms fall below series_tail_tol (1 - ratio),
     which bounds the geometric tail by the same tolerance.  Terms computed
     past the stop are discarded; reaching n_max first warns
-    (TruncationWarning, "<name> hit n_max").  diag, if given, gains the
-    terms summed and the evaluations spent."""
+    (TruncationWarning, "<name> hit n_max = <n_max>").  diag, if given, gains
+    the terms summed, the evaluations spent and that warning's message."""
     diag = diag if diag is not None else Diagnostics()
     stop = prec.series_tail_tol * (1.0 - ratio)
     scale_abs = abs(scale)
@@ -337,5 +353,6 @@ def sum_series(
             if small >= 2:
                 return scale * total
         n, size = n + len(terms), _BLOCK
-    warnings.warn(f"{name} hit n_max = {prec.n_max}", TruncationWarning, stacklevel=3)
+    diag.warnings.append(f"{name} hit n_max = {prec.n_max}")
+    warnings.warn(diag.warnings[-1], TruncationWarning, stacklevel=3)
     return scale * total

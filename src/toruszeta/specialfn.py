@@ -1,7 +1,8 @@
 """Self-contained special functions: complex Gamma, Riemann zeta with
-analytic continuation, the modified Bessel function K_nu by the trapezoid
-rule on its integral definition, divisor sums, Dedekind sums and Lambert
-series.
+analytic continuation, the modified Bessel function K_nu by the nested
+trapezoid rule on its integral definition (the one trapezoid core,
+``quadrature.trapezoid_rows``, that tanh-sinh runs on as well), divisor sums,
+Dedekind sums and Lambert series.
 
 Everything here is a pure function of its inputs; the only state is a
 bounded, thread-safe memo on the one-value Bessel evaluator ``bessel_k``.
@@ -12,23 +13,21 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .domain import DEFAULT_PRECISION, Precision, require_finite
-from .errors import DomainError, PoleError, TruncationWarning
-from .quadrature import QuadResult, _pieces, sum_series
+from .errors import DomainError, PoleError
+from .quadrature import QuadResult, sum_series, trapezoid_rows
 
 _POLE_TOL = 1e-12
 
 # scaled_bessel_k: trapezoid intervals on [0, w_max] before the first halving,
-# the most halvings, and the rounding of a node sum per unit of h sum |f|
+# and the most halvings
 _FIRST_INTERVALS = 32
 MAX_HALVINGS = 10
-_ROUNDING = 4.0 * np.finfo(float).eps
 
 # Lanczos approximation, g = 607/128 with 15 coefficients (Godfrey's set);
 # relative accuracy ~1e-15 on the right half-plane.
@@ -205,11 +204,10 @@ def scaled_bessel_k(nu: complex, xs: np.ndarray, rel_tol: float) -> QuadResult:
     The integrand is even in w, analytic in a strip about the real axis and
     decays doubly exponentially, so the trapezoid rule converges
     geometrically in 1/h (Trefethen & Weideman, SIAM Rev. 56 (2014) 385).
-    The step starts at w_max/32 and halves at most MAX_HALVINGS times, each
-    halving evaluating only the new odd nodes of the rows still running.  A
-    row stops once its change from the last halving is within
-    rel_tol * |row|; its err_estimate is that change plus the rounding of
-    its node sum, _ROUNDING * h * sum |f|, which is not part of the stop.
+    quadrature.trapezoid_rows runs it: the step starts at w_max/32 and
+    halves at most MAX_HALVINGS times.  A row stops once its change from the
+    last halving is within rel_tol * |row|; its err_estimate is that change
+    plus the rounding of its node sums, which is not part of the stop.
     """
     xs = np.asarray(xs, dtype=float)
     x = float(np.min(xs))
@@ -231,39 +229,16 @@ def scaled_bessel_k(nu: complex, xs: np.ndarray, rel_tol: float) -> QuadResult:
         # cosh(w) - 1 = -expm1(w) expm1(-w) / 2, accurate near w = 0
         return np.exp(col[rows] * (0.5 * np.expm1(w) * np.expm1(-w))) * np.cosh(nu_arg * w)
 
-    def node_sums(w: np.ndarray, weights: np.ndarray, rows: np.ndarray):
-        """sum weights * f and sum weights * |f| over the nodes w, per row."""
-        total, size = np.zeros(rows.size, complex), np.zeros(rows.size)
-        for piece, vals in _pieces(f, w, rows):
-            total += vals @ weights[piece]
-            size += np.abs(vals) @ weights[piece]
-        return total, size
+    def nodes(level: int) -> tuple[np.ndarray, np.ndarray, float]:
+        h = w_max / _FIRST_INTERVALS * 0.5**level
+        k = np.arange(1, _FIRST_INTERVALS << level, 2) if level else np.arange(_FIRST_INTERVALS + 1)
+        w = np.ones(k.size)
+        if not level:
+            w[[0, -1]] = 0.5
+        return h * k, w, h
 
-    n = _FIRST_INTERVALS
-    h = w_max / n
-    ends = np.ones(n + 1)
-    ends[[0, -1]] = 0.5
-    running = np.arange(xs.size)
-    value, scale = node_sums(h * np.arange(n + 1), ends, running)
-    value, scale = h * value, h * scale
-    n_evals = xs.size * (n + 1)
-    err = np.full(xs.size, math.inf)
-    for _ in range(MAX_HALVINGS):
-        h *= 0.5
-        fresh, fresh_scale = node_sums(h * np.arange(1, 2 * n, 2), np.ones(n), running)
-        n_evals += running.size * n
-        n *= 2
-        new = 0.5 * value[running] + h * fresh
-        err[running] = np.abs(new - value[running])
-        value[running] = new
-        scale[running] = 0.5 * scale[running] + h * fresh_scale
-        # a NaN row never converges, so it runs to the cap and warns
-        running = running[~(err[running] <= rel_tol * np.abs(new))]
-        if not running.size:
-            break
-    else:
-        warnings.warn(f"scaled_bessel_k hit MAX_HALVINGS = {MAX_HALVINGS}", TruncationWarning, 2)
-    return QuadResult(value, err + _ROUNDING * scale, n_evals)
+    return trapezoid_rows(f, nodes, xs.size, rel_tol, 0.0, 1, MAX_HALVINGS,
+                          f"scaled_bessel_k hit MAX_HALVINGS = {MAX_HALVINGS}")
 
 
 @lru_cache(maxsize=8192)

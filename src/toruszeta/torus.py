@@ -294,8 +294,12 @@ def _contour_series(
 ) -> complex:
     """scale * sum_{n>=1} I_n(s), I_n(s) = int_0^inf (u^2 + 2 u n tau2)^(-s)
     d/du log[(1 - E1)(1 - E2)] du, a block of n by one tanh-sinh pass over
-    (0, 8), one row per n; past u = 8 each row has decayed by e^(-16 pi)."""
+    (0, 8), one row per n; past u = 8 each row has decayed by e^(-16 pi).
+    diag, if given, also gains a warning when a row's error estimate misses
+    the tanh-sinh stop test, as it does where the quadrature stops at its cap."""
+    diag = diag if diag is not None else Diagnostics()
     tol = max(1e-14, 0.1 * prec.quad_rel_tol)
+    missed = f"contour quadrature above tol = {tol:g}"
 
     def block(ns: np.ndarray) -> tuple[np.ndarray, int]:
         two_n_tau2 = (2.0 * t.tau2 * ns)[:, None]
@@ -309,6 +313,9 @@ def _contour_series(
             return cpow(u * (u + two_n_tau2[rows]), -s) * log_derivative
 
         res = tanh_sinh_rows(integrand, 0.0, 8.0, ns.size, tol=tol)
+        stop = tol * np.maximum(1.0, np.abs(res.value))  # the rows' stop test
+        if missed not in diag.warnings and not np.all(res.err_estimate <= stop):
+            diag.warnings.append(missed)
         return res.value, res.n_evals
 
     return sum_series(

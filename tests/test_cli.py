@@ -19,6 +19,7 @@ from toruszeta.cli import (
     parse_tau,
 )
 from toruszeta.cli import UsageError
+from toruszeta.errors import TruncationWarning
 
 GOLDEN_ZETA_P_ZERO = """\
 {
@@ -159,6 +160,30 @@ def test_eval_invalid_precision_is_usage_error(capsys, flag, value):
                          "--tau", "0.2+1i", "--method", "contour", f"{flag}={value}")
     assert code == EXIT_USAGE
     assert "usage error" in err and out == ""
+
+
+@pytest.mark.parametrize("what", ["eisenstein", "zeta-laplacian", "remainder"])
+def test_eval_unknown_method_is_usage_error(capsys, what):
+    code, out, err = run(capsys, "eval", "--what", what, "--s", "0.3", "--tau", "1i",
+                         "--method", "bogus")
+    assert code == EXIT_USAGE
+    assert "invalid choice" in err and out == ""
+
+
+@pytest.mark.parametrize("argv, warning, message", [
+    (("--s", "0.3", "--tau", "0.5+0.87i", "--n-max", "1"),
+     "divisor-Bessel series hit n_max = 1", "divisor-Bessel series hit n_max = 1"),
+    (("--method", "contour", "--s", "0.3", "--tau", "0.5+0.87i", "--n-max", "1"),
+     "remainder_integral hit n_max = 1", "remainder_integral hit n_max = 1"),
+    # the contour rows next to the pole at s = 1 run tanh-sinh to its level cap
+    (("--method", "contour", "--s", "0.99", "--tau", "0.2+1i"),
+     "tanh_sinh hit max_level = 12", "contour quadrature above tol = 1e-13"),
+], ids=["cs-n_max", "contour-n_max", "contour-level-cap"])
+def test_eval_cap_hits_reach_the_json(capsys, argv, warning, message):
+    with pytest.warns(TruncationWarning, match=warning):
+        code, out, _ = run(capsys, "eval", "--what", "eisenstein", *argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["diagnostics"]["warnings"] == [message]
 
 
 def test_unknown_what_is_usage_error(capsys):

@@ -157,6 +157,14 @@ def test_transfer_empty_ts():
         assert u.shape == w.shape == (0,) and u.dtype == w.dtype == ts.dtype
 
 
+def test_operator_spec_takes_only_potential_and_label():
+    # the free flag and the mean of V are derived from the potential
+    with pytest.raises(TypeError):
+        OperatorSpec(lambda x: x, "x", True)
+    with pytest.raises(TypeError):
+        OperatorSpec(lambda x: x, _mean_v=5.0)
+
+
 def test_transfer_step_cap_warns():
     spec = OperatorSpec(FAMILIES["sin"], "sin")
     with pytest.warns(TruncationWarning, match="Magnus step count hit n_max"):

@@ -13,7 +13,10 @@ from toruszeta.quadrature import (
     tanh_sinh,
     tanh_sinh_rows,
     taylor,
+    trapezoid_rows,
 )
+
+_EPS = np.finfo(float).eps
 
 
 def test_adaptive_gauss_sin():
@@ -86,6 +89,22 @@ def test_adaptive_gauss_panel_budget_warns(monkeypatch):
     with pytest.warns(TruncationWarning, match="adaptive_gauss hit MAX_PANELS = 2"):
         res = adaptive_gauss(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0, rel_tol=1e-13)
     assert abs(res.value - 5.0 / 18.0) < 1e-3
+
+
+def test_tanh_sinh_err_estimate_carries_the_rounding_term():
+    # a converged row's last change can be 0.0, but its node sums still carry
+    # a rounding of 4 eps int |f|, taken from the level-0 sum of |f| (within
+    # 10% of the integral for each of these)
+    assert tanh_sinh(lambda u: u**-0.5, 0.0, 1.0).err_estimate >= 4.0 * _EPS * 2.0
+    for f, b, abs_integral in [
+        (lambda u: u**-0.5, 1.0, 2.0),
+        # int_0^5 u^(-0.3) e^(-u) du, the lower incomplete gamma(0.7, 5)
+        (lambda u: u**-0.3 * np.exp(-u), 5.0, 1.2941011419345188),
+        (np.exp, 1.0, math.e - 1.0),
+    ]:
+        res = tanh_sinh(f, 0.0, b)
+        assert abs(res.value - abs_integral) <= 2e-15 * abs_integral
+        assert res.err_estimate >= 4.0 * _EPS * 0.9 * abs_integral
 
 
 # ------------------------------------------------------------ stacked cores
@@ -181,6 +200,89 @@ def test_stacked_eval_counts_are_rows_times_abscissae():
                           0.0, 1.0, 2, tol=1e-13)
     assert both.n_evals == 2 * one.n_evals
     assert adaptive_gauss(np.sin, 0.0, 1.0).n_evals == 46
+
+
+def test_eval_counts_are_the_abscissae_f_received():
+    # tanh-sinh drops the nodes that round onto an endpoint, and rows stop at
+    # different levels; n_evals counts what f was given
+    seen = []
+
+    def f(u, rows):
+        seen.append(len(rows) * u.size)
+        return singular_rows(u, rows)
+
+    res = tanh_sinh_rows(f, 0.0, 1.0, 4, tol=1e-13)
+    assert res.n_evals == sum(seen)
+    seen.clear()
+    one = tanh_sinh(lambda u: f(u, np.zeros(1, int))[0], 0.0, 5.0)
+    assert one.n_evals == sum(seen)
+
+
+# ------------------------------------------------------------- trapezoid core
+
+# int_0^(2 pi) e^(k cos x) dx = 2 pi I_0(k), by the trapezoid rule on a period
+_PERIODIC = np.array([0.0, 0.5, 4.0, 20.0])[:, None]
+
+
+def periodic_nodes(level):
+    """Every node of 4 intervals on [0, 2 pi) at level 0, the new odd ones after."""
+    n = 4 << level
+    h = 2.0 * math.pi / n
+    x = h * (np.arange(1, n, 2) if level else np.arange(n))
+    return x, np.ones(x.size), h
+
+
+def test_trapezoid_rows_stop_each_row_on_its_own_test():
+    seen = []
+
+    def f(x, rows):
+        seen.append(rows.copy())
+        return np.exp(_PERIODIC[rows] * np.cos(x))
+
+    res = trapezoid_rows(f, periodic_nodes, 4, 1e-12, 0.0, 1, 10, "cap")
+    exact = 2.0 * math.pi * np.i0(_PERIODIC[:, 0])
+    assert np.all(np.abs(res.value - exact) <= res.err_estimate)
+    assert np.all(res.err_estimate <= (1e-12 + 4.0 * _EPS) * exact)
+    # the constant row is exact at level 0 and stops at level first = 1;
+    # the others run longer, e^(20 cos x) longest
+    assert [r.tolist() for r in seen[:3]] == [[0, 1, 2, 3], [0, 1, 2, 3], [1, 2, 3]]
+    assert seen[-1].tolist() == [3]
+    assert res.n_evals == 4 * 4 + sum(r.size * (4 << i) for i, r in enumerate(seen[1:]))
+
+
+def test_trapezoid_rows_first_level_and_floor():
+    # a constant row takes every level up to first; with floor 1 a row of
+    # size 3e-22 stops on an absolute test at first, with floor 0 it does not
+    def tiny(x, rows):
+        return 1e-30 * np.exp(20.0 * np.cos(x)) * np.ones((rows.size, 1))
+
+    const = trapezoid_rows(lambda x, rows: np.ones((rows.size, x.size)), periodic_nodes, 1,
+                           1e-12, 1.0, 3, 10, "cap")
+    assert const.n_evals == 4 + 4 + 8 + 16
+    absolute = trapezoid_rows(tiny, periodic_nodes, 1, 1e-12, 1.0, 1, 10, "cap")
+    relative = trapezoid_rows(tiny, periodic_nodes, 1, 1e-12, 0.0, 1, 10, "cap")
+    assert absolute.n_evals == 4 + 4
+    assert relative.n_evals > absolute.n_evals
+    assert abs(relative.value[0] - 2e-30 * math.pi * np.i0(20.0)) <= relative.err_estimate[0]
+
+
+def test_trapezoid_rows_cap_warns_with_its_message():
+    # a NaN row never converges; the rows that do are left alone
+    def f(x, rows):
+        vals = np.exp(_PERIODIC[rows] * np.cos(x))
+        vals[rows == 0] = np.nan
+        return vals
+
+    with pytest.warns(TruncationWarning, match="^my rule hit its cap$"):
+        res = trapezoid_rows(f, periodic_nodes, 4, 1e-12, 0.0, 1, 6, "my rule hit its cap")
+    assert np.isnan(res.value[0])
+    exact = 2.0 * math.pi * np.i0(_PERIODIC[1:, 0])
+    assert np.all(np.abs(res.value[1:] - exact) <= res.err_estimate[1:])
+    # a last level below 1 leaves the level-0 sum, with no estimate of its error
+    for last in (0, -1):
+        with pytest.warns(TruncationWarning, match="^no halving$"):
+            only = trapezoid_rows(f, periodic_nodes, 4, 1e-12, 0.0, 1, last, "no halving")
+        assert only.n_evals == 4 * 4 and np.all(np.isinf(only.err_estimate[1:]))
 
 
 # ------------------------------------------------------- Taylor coefficients

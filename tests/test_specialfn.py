@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from toruszeta import quadrature
+from toruszeta import quadrature, specialfn
 from toruszeta.domain import Precision
 from toruszeta.errors import DomainError, PoleError, TruncationWarning
 from toruszeta.specialfn import (
@@ -353,6 +353,23 @@ def test_scaled_bessel_k_usually_takes_two_integrand_calls(monkeypatch):
     monkeypatch.setattr(quadrature, "CHUNK", 64)
     parts = scaled_bessel_k(0.2 - 0.7j, xs, 1e-12)
     assert np.allclose(parts.value, whole.value, rtol=1e-15, atol=0.0)
+
+
+def test_scaled_bessel_k_counts_the_nodes_its_integrand_received(monkeypatch):
+    # at small x and |Im nu| = 8 the rows stop after one to seven halvings
+    seen = []
+
+    def recording_core(f, *args):
+        def g(w, rows):
+            seen.append(len(rows) * w.size)
+            return f(w, rows)
+
+        return quadrature.trapezoid_rows(g, *args)
+
+    monkeypatch.setattr(specialfn, "trapezoid_rows", recording_core)
+    xs = 2.0 * math.pi * 0.05 * np.arange(1, 17)
+    res = scaled_bessel_k(0.3 + 8j, xs, 1e-12)
+    assert res.n_evals == sum(seen) > xs.size * 65
 
 
 def test_bessel_domain():
