@@ -97,7 +97,6 @@ def test_tanh_sinh_err_estimate_carries_the_rounding_term():
     # 10% of the integral for each of these)
     assert tanh_sinh(lambda u: u**-0.5, 0.0, 1.0).err_estimate >= 4.0 * _EPS * 2.0
     for f, b, abs_integral in [
-        (lambda u: u**-0.5, 1.0, 2.0),
         # int_0^5 u^(-0.3) e^(-u) du, the lower incomplete gamma(0.7, 5)
         (lambda u: u**-0.3 * np.exp(-u), 5.0, 1.2941011419345188),
         (np.exp, 1.0, math.e - 1.0),
