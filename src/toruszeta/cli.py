@@ -6,8 +6,9 @@ Subcommands:
   identities  run the registered identity suite (nonzero exit iff any fail)
   table       emit values over an s- or tau-grid as CSV/JSON
 
-Exit codes: 0 success, 1 identity-suite failure, 2 domain/pole error
-(machine-readable JSON on stdout), 64 usage error.  JSON output carries a
+Exit codes: 0 success, 1 identity-suite failure, 2 domain/pole error or a
+warning made an error (PYTHONWARNINGS=error::RuntimeWarning, say), with
+machine-readable JSON on stdout, 64 usage error.  JSON output carries a
 "schema" version field and contains nothing run-dependent, so identical
 invocations produce identical bytes.
 """
@@ -27,11 +28,14 @@ from .identities import SuiteReport, run_suite
 from .operator1d import OperatorSpec, log_det, log_det_numeric, zeta_p
 from .potentials import PotentialParseError, parse_potential
 from .torus import (
+    ALIASES,
+    DEFAULT_METHOD,
+    METHODS,
+    REMAINDERS,
     determinant_torus,
     determinant_torus_numeric,
     eisenstein,
     remainder_bessel,
-    remainder_integral,
     zeta_laplacian,
     zeta_laplacian_deriv0,
 )
@@ -45,6 +49,8 @@ EXIT_USAGE = 64
 
 # Most points a `table` grid may have; the count is checked before any is built.
 MAX_GRID_POINTS = 10_000
+
+COLUMNS = (*METHODS, *ALIASES, "q", "det")
 
 
 class UsageError(ValueError):
@@ -131,14 +137,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         result["s"] = _cnum(s)
         result["tau"] = [tau.tau1, tau.tau2]
         if what == "remainder":
-            if args.method == "direct":
-                raise UsageError("remainder method must be chowla_selberg or contour")
-            fn = remainder_integral if args.method == "contour" else remainder_bessel
-            result["method"] = "chowla_selberg" if fn is remainder_bessel else "contour"
-            result["value"] = _cnum(fn(s, tau, prec))
+            method = ALIASES.get(args.method, args.method)
+            if method not in REMAINDERS:
+                raise UsageError(f"remainder method must be {' or '.join(REMAINDERS)}")
+            result["method"] = method
+            result["value"] = _cnum(REMAINDERS[method](s, tau, prec))
         else:
-            method = args.method or "chowla_selberg"
-            ev = (eisenstein if what == "eisenstein" else zeta_laplacian)(s, tau, method, prec)
+            ev = (eisenstein if what == "eisenstein" else zeta_laplacian)(s, tau, args.method, prec)
             result["method"] = ev.method
             result["value"] = _cnum(ev.value)
             result["err_estimate"] = ev.err_estimate
@@ -305,10 +310,9 @@ def _tau_list(args: argparse.Namespace) -> list[TauPoint]:
 def cmd_table(args: argparse.Namespace) -> int:
     prec = _precision_from(args)
     columns = [c.strip() for c in args.columns.split(",") if c.strip()]
-    known = {"direct", "cs", "contour", "q", "det"}
-    bad = set(columns) - known
+    bad = set(columns) - set(COLUMNS)
     if bad:
-        raise UsageError(f"unknown columns {sorted(bad)}; choose from {sorted(known)}")
+        raise UsageError(f"unknown columns {sorted(bad)}; choose from {sorted(COLUMNS)}")
     skip = {parse_complex(v) for v in args.skip.split(",")} if args.skip else {1.0 + 0.0j}
     s_values = [complex(v) for v in _parse_grid(args.s_grid)] if args.s_grid else [None]
     taus = _tau_list(args)
@@ -321,8 +325,7 @@ def cmd_table(args: argparse.Namespace) -> int:
                 return None
             if col == "q":
                 return remainder_bessel(s, tau, prec)
-            method = {"cs": "chowla_selberg"}.get(col, col)
-            return eisenstein(s, tau, method, prec).value
+            return eisenstein(s, tau, col, prec).value
         except (DomainError, NonFiniteError):
             return None
 
@@ -376,9 +379,9 @@ def build_parser() -> _Parser:
                         choices=["eisenstein", "zeta-laplacian", "remainder", "eta", "zeta-p"])
     p_eval.add_argument("--s", default=None, help="complex argument, format a+bi")
     p_eval.add_argument("--tau", default=None, help="upper half-plane point, format a+bi")
-    p_eval.add_argument("--method", default=None,
-                        choices=["direct", "chowla_selberg", "cs", "contour"],
-                        help="E* route (where applicable; cs is chowla_selberg)")
+    short = ", ".join(f"{a} is {m}" for a, m in ALIASES.items())
+    p_eval.add_argument("--method", default=DEFAULT_METHOD, choices=[*METHODS, *ALIASES],
+                        help=f"E* route (where applicable; {short})")
     _add_precision_flags(p_eval)
     p_eval.set_defaults(fn=cmd_eval)
 
@@ -403,7 +406,7 @@ def build_parser() -> _Parser:
     p_tab.add_argument("--skip", default=None, help="comma list of s values to skip (default 1)")
     p_tab.add_argument("--tau", default=None, help="fixed tau, format a+bi")
     p_tab.add_argument("--tau-grid", default=None, help="arc:N for the |tau| = 1 boundary arc")
-    p_tab.add_argument("--columns", default="cs", help="comma list: direct,cs,contour,q,det")
+    p_tab.add_argument("--columns", default=DEFAULT_METHOD, help=f"comma list: {','.join(COLUMNS)}")
     p_tab.add_argument("--format", default="csv", choices=["csv", "json"])
     _add_precision_flags(p_tab)
     p_tab.set_defaults(fn=cmd_table)
@@ -428,6 +431,7 @@ def main(argv: list[str] | None = None) -> int:
         NonFiniteError,
         OverflowError,
         ZeroDivisionError,
+        RuntimeWarning,  # a warning (a cap hit, a numpy overflow) that a filter made an error
     ) as exc:
         sys.stdout.write(_json({
             "schema": SCHEMA_VERSION,

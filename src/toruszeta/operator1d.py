@@ -220,11 +220,11 @@ def _require_positive(u: np.ndarray, ts: np.ndarray) -> np.ndarray:
 
 def _zeta_rows(
     spec: OperatorSpec, ss: np.ndarray, prec: Precision = DEFAULT_PRECISION
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """zeta_operator's values and error estimates at each s of ss (s != 0 in
-    its window), and the evaluations spent: one propagator and one node table
-    serve every s, whose integrands are stacked rows that share the s-free
-    part of each node's value."""
+    its window), the evaluations spent and whether a quadrature missed: one
+    propagator and one node table serve every s, whose integrands are stacked
+    rows that share the s-free part of each node's value."""
     propagate = _propagator(spec, prec)
     u0 = float(propagate(np.zeros(1))[0][0])
     # g(1) - g(0) - h(1), where h(1) = g(1) + log 2 - 1
@@ -264,7 +264,8 @@ def _zeta_rows(
         values.append(require_finite(value, "zeta_operator"))
     errs = [abs(sinpi(s) / math.pi) * (abs(s) * e + 1e-13)
             for s, e in zip(ss.tolist(), (head_q.err_estimate + tail_q.err_estimate).tolist())]
-    return np.array(values), np.array(errs), head_q.n_evals + tail_q.n_evals
+    missed = head_q.missed or tail_q.missed
+    return np.array(values), np.array(errs), head_q.n_evals + tail_q.n_evals, missed
 
 
 def zeta_operator(
@@ -280,7 +281,8 @@ def zeta_operator(
 
     The one-row case of _zeta_rows: the lambda integral runs through tanh-sinh
     on [0, 1] and adaptive Gauss in log lambda on [1, 400], each row until its
-    error estimate is within max(1e-13, quad_rel_tol / 10) * max(1, |integral|)."""
+    error estimate is within max(1e-13, quad_rel_tol / 10) * max(1, |integral|);
+    a miss adds a message to diagnostics.warnings."""
     s = complex(s)
     if not s.real < 1.0:
         raise DomainError("zeta_operator requires Re s < 1")
@@ -291,7 +293,9 @@ def zeta_operator(
     diag = Diagnostics()
     if abs(s) < 1e-300:  # the sin(pi s) factor kills everything but -1/2
         return EvalResult(-0.5 + 0.0j, 1e-15, "contour", diag)
-    values, errs, diag.quad_evals = _zeta_rows(spec, np.array([s]), prec)
+    values, errs, diag.quad_evals, missed = _zeta_rows(spec, np.array([s]), prec)
+    if missed:
+        diag.warnings.append("lambda quadrature above max(1e-13, quad_rel_tol / 10)")
     return EvalResult(complex(values[0]), float(errs[0]), "contour", diag)
 
 

@@ -10,7 +10,8 @@ before its tolerance is met:
   singularity u^(-s) (complex s, Re s < 1) at an endpoint.
 
 They rest on two cores, each integrating a stack of integrands sharing their
-abscissae (the n-terms of a series, say) in one pass.  The Gauss core is
+abscissae (the n-terms of a series, say) in one pass, and says in
+``QuadResult.missed`` whether every row met its tolerance.  The Gauss core is
 ``adaptive_gauss_rows``; every Gauss integral but the fixed 32-point mean of
 V in ``OperatorSpec``, the lambda tail of the operator zeta function
 included, goes through it.  The trapezoid core is ``trapezoid_rows``, the
@@ -101,6 +102,7 @@ class QuadResult:
     value: complex | np.ndarray
     err_estimate: float | np.ndarray
     n_evals: int  # rows x abscissae evaluated
+    missed: bool = False  # some row's err_estimate is above its tolerance
 
 
 def gauss_panel(f: Integrand, a: float, b: float, n: int = 31) -> complex:
@@ -176,7 +178,9 @@ def adaptive_gauss_rows(
         errs = np.concatenate([errs[:i], halves[1], errs[i + 1 :]])
     else:
         warnings.warn(f"adaptive_gauss hit MAX_PANELS = {MAX_PANELS}", TruncationWarning, 2)
-    return QuadResult(vals.sum(axis=0), errs.sum(axis=0), n_evals)
+    # the loop's test on the final panels: after a break every row meets it
+    missed = not np.all(errs.sum(axis=0) <= np.maximum(abs_tol, rel_tol * abs(vals.sum(axis=0))))
+    return QuadResult(vals.sum(axis=0), errs.sum(axis=0), n_evals, missed)
 
 
 def adaptive_gauss(
@@ -189,7 +193,7 @@ def adaptive_gauss(
     """int_a^b f by adaptive_gauss_rows with one row: the summed error
     estimate meets max(abs_tol, rel_tol * |integral|)."""
     res = adaptive_gauss_rows(lambda x, rows: f(x), a, b, 1, rel_tol, abs_tol)
-    return QuadResult(complex(res.value[0]), float(res.err_estimate[0]), res.n_evals)
+    return QuadResult(complex(res.value[0]), float(res.err_estimate[0]), res.n_evals, res.missed)
 
 
 def trapezoid_rows(
@@ -206,7 +210,8 @@ def trapezoid_rows(
     warns (TruncationWarning, cap).  err_estimate is a row's last change plus
     the rounding of its node sums, 4 eps int |f|, with int |f| taken from
     the level-0 nodes; the rounding is not part of the stop.  n_evals counts
-    the rows x abscissae that f received.
+    the rows x abscissae that f received.  missed: some row's err_estimate
+    is above tol * max(floor, |row|), at the cap or by its rounding alone.
     """
     running = np.arange(rows)
     scale, err = np.zeros(rows), np.full(rows, math.inf)
@@ -232,7 +237,8 @@ def trapezoid_rows(
                 break
     else:
         warnings.warn(cap, TruncationWarning, 3)
-    return QuadResult(value, err + rounding, n_evals)
+    err += rounding
+    return QuadResult(value, err, n_evals, not np.all(err <= tol * np.maximum(floor, abs(value))))
 
 
 @lru_cache(maxsize=64)
@@ -299,7 +305,7 @@ def tanh_sinh(
     """int_a^b f by tanh_sinh_rows with one row: converges geometrically even
     for an integrable algebraic singularity at an endpoint."""
     res = tanh_sinh_rows(lambda x, rows: f(x), a, b, 1, tol, max_level)
-    return QuadResult(complex(res.value[0]), float(res.err_estimate[0]), res.n_evals)
+    return QuadResult(complex(res.value[0]), float(res.err_estimate[0]), res.n_evals, res.missed)
 
 
 def taylor(f: Integrand, center: float, radius: float, m: int = 8) -> np.ndarray:

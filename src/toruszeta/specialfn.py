@@ -176,10 +176,13 @@ def riemann_zeta(s: complex) -> complex:
     Euler-Maclaurin handles Re s >= -1/2 directly; further left its summation
     pieces cancel (8e-13 relative error near s = -1), so the reflection
     zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s) is used instead.
+    Its head sums 1.3 |Im s| terms, so |Im s| > 1e6 is refused (DomainError).
     """
     s = complex(s)
     if abs(s - 1.0) < _POLE_TOL:
         raise PoleError("riemann_zeta pole at s = 1")
+    if abs(s.imag) > 1e6:
+        raise DomainError(f"riemann_zeta needs |Im s| <= 1e6, got {s.imag!r}")
     if s.real >= -0.5:
         return require_finite(_zeta_euler_maclaurin(s), "riemann_zeta")
     sin_half = sinpi(0.5 * s)

@@ -9,13 +9,13 @@ completed Eisenstein series E*(s, tau), by three independent routes:
 * ``contour``         -- the same two zeta terms plus the branch-cut integral
                          remainder (Re s < 1, realized numerically).
 
-E* is SL(2, Z)-invariant, so each route first moves tau into the fundamental
-domain (``eta.fundamental_domain_reduce``), where tau2 >= sqrt(3)/2 and the
-remainders, which converge like e^(-2 pi n tau2), need a handful of terms;
-the route's private ``_*_unreduced`` core then sums at the reduced point.
-``zeta_laplacian`` scales by the caller's tau2^s.  The remainders
-``remainder_bessel`` and ``remainder_integral`` are not invariant on their
-own and are summed at the tau they are given.
+The routes are one table (``REMAINDERS``, ``METHODS``, ``ALIASES``) with one
+entry, ``eisenstein``, which the three public routes call.  E* is SL(2,
+Z)-invariant, so it sums at tau moved into the fundamental domain, where
+tau2 >= sqrt(3)/2 and the remainders, which converge like e^(-2 pi n tau2),
+need a handful of terms.  ``zeta_laplacian`` scales by the caller's tau2^s.
+The remainders ``remainder_bessel`` and ``remainder_integral`` are not
+invariant on their own and are summed at the tau they are given.
 
 The module also extracts the functional determinant, the constant term of the
 Laurent expansion at s = 1, the remainder functional equation, the divisor
@@ -59,8 +59,6 @@ from .specialfn import _POLE_TOL, cpow, gamma, rgamma, riemann_zeta
 from .specialfn import scaled_bessel_k, sigma, sinpi
 
 EULER_GAMMA = 0.5772156649015328606
-
-METHODS = ("direct", "chowla_selberg", "contour")
 
 _HALF_WINDOW = 0.01  # |s - 1/2| below which the head comes from its Taylor series at 1/2
 _SUM_ROUNDING = 1e-15  # u: rounding bound of a direct-sum partial sum, relative to it
@@ -110,21 +108,6 @@ def _square_sum_block(
     return 2.0 * total, (2 * k_hi + 1) ** 2 - (2 * k_lo + 1) ** 2
 
 
-def _at_reduced(
-    core: Callable[[complex, TauPoint, Precision], EvalResult],
-    s: complex,
-    tau: TauPoint | complex,
-    prec: Precision,
-) -> EvalResult:
-    """core at tau moved into the fundamental domain, which E* does not see
-    (it is SL(2, Z)-invariant) and where every remainder term decays at least
-    like e^(-pi sqrt(3) n); the diagnostics record the reduced tau."""
-    t = fundamental_domain_reduce(tau)[0]
-    result = core(s, t, prec)
-    result.diagnostics.reduced_tau = t
-    return result
-
-
 def eisenstein_direct(
     s: complex, tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION
 ) -> EvalResult:
@@ -145,7 +128,7 @@ def eisenstein_direct(
     without the first (with two, against the first raw partial sum); after,
     the last four-point pair is returned.
     """
-    return _at_reduced(_direct_unreduced, s, tau, prec)
+    return eisenstein(s, tau, "direct", prec)
 
 
 def _direct_unreduced(s: complex, t: TauPoint, prec: Precision) -> EvalResult:
@@ -246,17 +229,15 @@ def _divisor_bessel_series(
 ) -> complex:
     """scale * sum_{n>=1} sigma_(1-2s)(n) cos(2 pi n tau1) K_(1/2-s)(2 pi n tau2) n^(s-1/2),
     with the K_nu of a block of n from one stacked quadrature.  diag, if
-    given, also gains a warning when a K_nu row's error estimate misses
-    quad_rel_tol, as it does where the quadrature stops at its cap."""
+    given, also gains a warning when the quadrature reports that a K_nu row's
+    error estimate missed quad_rel_tol, as it does where it stops at its cap."""
     diag = diag if diag is not None else Diagnostics()
     missed = f"K_nu quadrature above quad_rel_tol = {prec.quad_rel_tol:g}"
 
     def block(ns: np.ndarray) -> tuple[np.ndarray, int]:
         xs = 2.0 * math.pi * t.tau2 * ns
         k = scaled_bessel_k(0.5 - s, xs, prec.quad_rel_tol)
-        if missed not in diag.warnings and not np.all(
-            k.err_estimate <= prec.quad_rel_tol * np.abs(k.value)
-        ):
+        if k.missed and missed not in diag.warnings:
             diag.warnings.append(missed)
         sig = np.array([sigma(1.0 - 2.0 * s, int(n)) for n in ns])
         bessel = k.value * np.exp(-xs)
@@ -295,8 +276,9 @@ def _contour_series(
     """scale * sum_{n>=1} I_n(s), I_n(s) = int_0^inf (u^2 + 2 u n tau2)^(-s)
     d/du log[(1 - E1)(1 - E2)] du, a block of n by one tanh-sinh pass over
     (0, 8), one row per n; past u = 8 each row has decayed by e^(-16 pi).
-    diag, if given, also gains a warning when a row's error estimate misses
-    the tanh-sinh stop test, as it does where the quadrature stops at its cap."""
+    diag, if given, also gains a warning when the quadrature reports that a
+    row's error estimate missed its tolerance, as it does where it stops at
+    its cap."""
     diag = diag if diag is not None else Diagnostics()
     tol = max(1e-14, 0.1 * prec.quad_rel_tol)
     missed = f"contour quadrature above tol = {tol:g}"
@@ -313,8 +295,7 @@ def _contour_series(
             return cpow(u * (u + two_n_tau2[rows]), -s) * log_derivative
 
         res = tanh_sinh_rows(integrand, 0.0, 8.0, ns.size, tol=tol)
-        stop = tol * np.maximum(1.0, np.abs(res.value))  # the rows' stop test
-        if missed not in diag.warnings and not np.all(res.err_estimate <= stop):
+        if res.missed and missed not in diag.warnings:
             diag.warnings.append(missed)
         return res.value, res.n_evals
 
@@ -355,6 +336,45 @@ def remainder_integral(
 
 # ------------------------------------------------------------- E* evaluators
 
+# the series routes and their remainders; every route name lives here
+REMAINDERS = {"chowla_selberg": remainder_bessel, "contour": remainder_integral}
+METHODS = ("direct", *REMAINDERS)
+ALIASES = {"cs": "chowla_selberg"}
+DEFAULT_METHOD = "cs"  # by its short name, which `table` prints as its default column
+
+
+def eisenstein(
+    s: complex,
+    tau: TauPoint | complex,
+    method: str = DEFAULT_METHOD,
+    prec: Precision = DEFAULT_PRECISION,
+) -> EvalResult:
+    """Completed nonholomorphic Eisenstein series E*(s, tau) by a route of METHODS
+    or ALIASES, at tau moved into the fundamental domain, where remainder terms
+    decay at least like e^(-pi sqrt(3) n); the diagnostics record that tau."""
+    method = ALIASES.get(method, method)
+    if method not in METHODS:
+        raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
+    t = fundamental_domain_reduce(tau)[0]
+    result = _direct_unreduced(s, t, prec) if method == "direct" else _head_plus(method, s, t, prec)
+    result.diagnostics.reduced_tau = t
+    return result
+
+
+def _head_plus(method: str, s: complex, t: TauPoint, prec: Precision) -> EvalResult:
+    """_cs_main_terms plus the route's remainder (which checks its own domain
+    first) at t as given, with err_estimate 1e-13 max(1, |E*|); EvalResult
+    refuses a value that is not finite."""
+    s = _check_not_pole(s)
+    diag = Diagnostics()
+    value = REMAINDERS[method](s, t, prec, diag) + _cs_main_terms(s, t)
+    return EvalResult(value, 1e-13 * max(1.0, abs(value)), method, diag)
+
+
+def _cs_unreduced(s: complex, t: TauPoint, prec: Precision) -> EvalResult:
+    """eisenstein_cs at t as given."""
+    return _head_plus("chowla_selberg", s, t, prec)
+
 
 def eisenstein_cs(
     s: complex, tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION
@@ -362,23 +382,7 @@ def eisenstein_cs(
     """E*(s, tau) via the Chowla-Selberg series, valid for every s != 1, at tau
     reduced to the fundamental domain: the head _cs_main_terms plus
     remainder_bessel, with err_estimate 1e-13 max(1, |E*|)."""
-    return _at_reduced(_cs_unreduced, s, tau, prec)
-
-
-def _cs_unreduced(s: complex, t: TauPoint, prec: Precision) -> EvalResult:
-    """eisenstein_cs at t as given."""
-    return _head_plus(remainder_bessel, s, t, prec, "eisenstein_cs", "chowla_selberg")
-
-
-def _head_plus(
-    remainder: Callable, s: complex, t: TauPoint, prec: Precision, name: str, method: str
-) -> EvalResult:
-    """_cs_main_terms plus the remainder (which checks its own domain first) at t as given."""
-    s = _check_not_pole(s)
-    diag = Diagnostics()
-    rem = remainder(s, t, prec, diag)
-    value = require_finite(_cs_main_terms(s, t) + rem, name)
-    return EvalResult(value, 1e-13 * max(1.0, abs(value)), method, diag)
+    return eisenstein(s, tau, "chowla_selberg", prec)
 
 
 def eisenstein_contour(
@@ -387,35 +391,13 @@ def eisenstein_contour(
     """E*(s, tau) via the branch-cut contour representation (Re s < 1), at tau
     reduced to the fundamental domain: the head _cs_main_terms plus
     remainder_integral, with err_estimate 1e-13 max(1, |E*|)."""
-    return _at_reduced(_contour_unreduced, s, tau, prec)
-
-
-def _contour_unreduced(s: complex, t: TauPoint, prec: Precision) -> EvalResult:
-    """eisenstein_contour at t as given."""
-    return _head_plus(remainder_integral, s, t, prec, "eisenstein_contour", "contour")
-
-
-def eisenstein(
-    s: complex,
-    tau: TauPoint | complex,
-    method: str = "chowla_selberg",
-    prec: Precision = DEFAULT_PRECISION,
-) -> EvalResult:
-    """Completed nonholomorphic Eisenstein series E*(s, tau) by the chosen method."""
-    method = {"cs": "chowla_selberg"}.get(method, method)
-    if method == "direct":
-        return eisenstein_direct(s, tau, prec)
-    if method == "chowla_selberg":
-        return eisenstein_cs(s, tau, prec)
-    if method == "contour":
-        return eisenstein_contour(s, tau, prec)
-    raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
+    return eisenstein(s, tau, "contour", prec)
 
 
 def zeta_laplacian(
     s: complex,
     tau: TauPoint | complex,
-    method: str = "chowla_selberg",
+    method: str = DEFAULT_METHOD,
     prec: Precision = DEFAULT_PRECISION,
 ) -> EvalResult:
     """Spectral zeta of the tau-Laplacian: (2 pi)^(-2s) tau2^s E*(s, tau)."""

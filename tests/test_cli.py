@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,18 @@ def test_eval_cap_hits_reach_the_json(capsys, argv, warning, message):
     assert json.loads(out)["diagnostics"]["warnings"] == [message]
 
 
+@pytest.mark.parametrize("method, s", [("cs", "0.3"), ("direct", "2")])
+def test_escalated_warning_is_a_json_error(capsys, method, s):
+    # n_max = 1 stops the series (and, before it refuses, the direct ladder)
+    # with a TruncationWarning; a filter that makes it an error gets exit 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        code, out, err = run(capsys, "eval", "--what", "eisenstein", "--s", s, "--tau", "1i",
+                             "--method", method, "--n-max", "1")
+    assert code == EXIT_DOMAIN and err == ""
+    assert json.loads(out)["error"]["type"] == "TruncationWarning"
+
+
 def test_unknown_what_is_usage_error(capsys):
     code = main(["eval", "--what", "nonsense", "--s", "1"])
     assert code == EXIT_USAGE
@@ -364,6 +377,16 @@ def test_table_huge_tau_arc_usage_error(capsys):
 def test_table_unknown_column_usage_error(capsys):
     code, _, _ = run(capsys, "table", "--s-grid", "2:3:0.5", "--columns", "magic")
     assert code == EXIT_USAGE
+
+
+def test_table_takes_a_route_by_either_name(capsys):
+    code, out, _ = run(capsys, "table", "--s-grid=-1:2:0.5", "--tau", "0.1+1i",
+                       "--columns", "cs,chowla_selberg")
+    assert code == EXIT_OK
+    lines = out.strip().splitlines()
+    assert lines[0] == "tau1,tau2,s_re,s_im,cs,chowla_selberg"
+    assert len(lines) == 1 + 6
+    assert all(row.split(",")[4] == row.split(",")[5] != "" for row in lines[1:])
 
 
 def test_out_file(tmp_path, capsys):

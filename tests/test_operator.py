@@ -313,6 +313,23 @@ def test_zeta_pole_at_half():
             zeta_operator(spec, 0.5)
 
 
+MISS_POTENTIALS = {"0": lambda x: 0.0, "x(1-x)": lambda x: x * (1.0 - x), "4": lambda x: 4.0}
+
+
+@pytest.mark.parametrize("label", list(MISS_POTENTIALS))
+def test_zeta_quadrature_miss_reaches_the_diagnostics(label):
+    # at s = 0.9 - 5i the tanh-sinh head runs to its level cap; at s = 0.7
+    # both lambda quadratures meet their tolerance
+    spec = OperatorSpec(MISS_POTENTIALS[label], label)
+    with pytest.warns(TruncationWarning, match="tanh_sinh hit max_level = 8"):
+        missed = zeta_operator(spec, 0.9 - 5j)
+    assert missed.diagnostics.warnings == [
+        "lambda quadrature above max(1e-13, quad_rel_tol / 10)"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert zeta_operator(spec, 0.7).diagnostics.warnings == []
+
+
 def test_zeta_asymptotic_part_derivative_is_minus_one():
     # closed form sin(pi s)/(2 pi) (1/(s-1/2) - 1/s): derivative -1 at 0
     def asy(s: float) -> float:

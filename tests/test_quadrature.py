@@ -284,6 +284,39 @@ def test_trapezoid_rows_cap_warns_with_its_message():
         assert only.n_evals == 4 * 4 and np.all(np.isinf(only.err_estimate[1:]))
 
 
+def test_trapezoid_rows_miss_on_the_rounding_term_alone():
+    # a constant row is exact from level 0, so it stops at level first with no
+    # warning, but its rounding term 4 eps 2 pi is above tol = 1e-17 of it
+    def ones(x, rows):
+        return np.ones((rows.size, x.size))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tight = trapezoid_rows(ones, periodic_nodes, 1, 1e-17, 0.0, 1, 10, "cap")
+        loose = trapezoid_rows(ones, periodic_nodes, 1, 1e-12, 0.0, 1, 10, "cap")
+    assert tight.n_evals == loose.n_evals == 4 + 4
+    assert tight.missed and not loose.missed
+
+
+def test_cores_say_when_a_row_missed(monkeypatch):
+    assert not tanh_sinh_rows(singular_rows, 0.0, 1.0, 4, tol=1e-13).missed
+    assert not adaptive_gauss_rows(smooth_rows, 0.0, 3.0, 5, rel_tol=1e-13).missed
+    with pytest.warns(TruncationWarning, match="tanh_sinh hit max_level = 3"):
+        assert tanh_sinh_rows(singular_rows, 0.0, 1.0, 4, tol=1e-13, max_level=3).missed
+    with pytest.warns(TruncationWarning, match="tanh_sinh hit max_level = 3"):
+        assert tanh_sinh(lambda u: np.cos(30.0 * u) / np.sqrt(u), 0.0, 1.0, max_level=3).missed
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 2)
+    kinks = np.array([1.0 / 3.0, 0.7])[:, None]
+    with pytest.warns(TruncationWarning, match="adaptive_gauss hit MAX_PANELS = 2"):
+        res = adaptive_gauss_rows(lambda x, rows: np.abs(x - kinks[rows]), 0.0, 1.0, 2,
+                                  rel_tol=1e-13)
+    assert res.missed
+    with pytest.warns(TruncationWarning, match="adaptive_gauss hit MAX_PANELS = 2"):
+        assert adaptive_gauss(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0, rel_tol=1e-13).missed
+    # a positional three-field construction still works, with missed False
+    assert not quadrature.QuadResult(1.0, 0.0, 1).missed
+
+
 # ------------------------------------------------------- Taylor coefficients
 
 

@@ -150,6 +150,13 @@ def test_zeta_pole():
         riemann_zeta(1.0)
 
 
+def test_zeta_refuses_large_imaginary_part_at_once():
+    # its Euler-Maclaurin head would hold 1.3 |Im s| terms: 1.3e10 here
+    for s in (0.5 + 1e10j, 0.5 - 1.000001e6j, -3.0 + 2e6j):
+        with pytest.raises(DomainError, match="riemann_zeta needs"):
+            riemann_zeta(s)
+
+
 @SETTINGS
 @given(
     st.floats(min_value=1.5, max_value=9.0),

@@ -13,6 +13,9 @@ from toruszeta.eta import eta, fundamental_domain_reduce
 from toruszeta.quadrature import adaptive_gauss, tanh_sinh
 from toruszeta.specialfn import MAX_HALVINGS, bessel_k, gamma, rgamma, riemann_zeta, sigma
 from toruszeta.torus import (
+    ALIASES,
+    METHODS,
+    REMAINDERS,
     _contour_series,
     _cs_unreduced,
     _direct_unreduced,
@@ -785,6 +788,43 @@ def test_bessel_cap_hit_reaches_the_diagnostics():
     assert {str(w.message) for w in caught} == {f"scaled_bessel_k hit MAX_HALVINGS = {MAX_HALVINGS}"}
     assert res.diagnostics.warnings == ["K_nu quadrature above quad_rel_tol = 1e-12"]
     assert eisenstein_cs(0.3 + 1j, 0.1 + 1j).diagnostics.warnings == []
+
+
+def test_bessel_estimate_miss_reaches_the_diagnostics_without_a_cap_hit():
+    # at Im s = 10 every K_nu row stops on its change before the cap, but
+    # some row's estimate, rounding term included, is above quad_rel_tol; at
+    # Im s = 8 every row meets it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        missed = eisenstein_cs(0.3 + 10j, 0.1 + 1j)
+        met = eisenstein_cs(0.3 + 8j, 0.1 + 1j)
+    assert missed.diagnostics.warnings == ["K_nu quadrature above quad_rel_tol = 1e-12"]
+    assert met.diagnostics.warnings == []
+
+
+def test_eisenstein_refuses_an_unknown_route_name():
+    with pytest.raises(DomainError) as caught:
+        eisenstein(0.3, 1j, "bogus")
+    assert str(caught.value) == (
+        "unknown method 'bogus'; expected one of ('direct', 'chowla_selberg', 'contour')")
+
+
+# the public route of each name that eisenstein takes
+_ROUTES = {"direct": eisenstein_direct, "chowla_selberg": eisenstein_cs,
+           "contour": eisenstein_contour}
+
+
+@pytest.mark.parametrize("name", [*METHODS, *ALIASES])
+def test_eisenstein_takes_every_route_name(name):
+    assert set(_ROUTES) == set(METHODS) and set(REMAINDERS) < set(METHODS)
+    s, tau = (2.0 + 0.3j if name == "direct" else 0.3 + 0.3j), 1.3 + 0.4j
+    got = eisenstein(s, tau, name)
+    want = _ROUTES[ALIASES.get(name, name)](s, tau)
+    assert (got.value, got.err_estimate, got.method) == (want.value, want.err_estimate, want.method)
+    assert got.method == ALIASES.get(name, name)
+    assert got.diagnostics == want.diagnostics
+    assert got.diagnostics.reduced_tau == fundamental_domain_reduce(tau)[0]
+    assert got.diagnostics.reduced_tau.tau2 >= math.sqrt(3.0) / 2.0
 
 
 def test_nan_yue_williams_at_i():
