@@ -17,8 +17,8 @@ class Precision:
                     direct lattice sum's checkpoint ladder, in (0, 1)
     series_tail_tol absolute bound at which exponentially convergent series
                     stop, in (0, 1)
-    n_max           hard cap on summation indices (a TruncationWarning is issued
-                    whenever the cap is what actually stopped a sum)
+    n_max           hard cap on summation indices, the direct sum's last checkpoint
+                    and the Magnus step count (TruncationWarning when it stops one)
     """
 
     quad_rel_tol: float = 1e-12

@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the one TruncationWarning call."""
+
+import sys
+import warnings
 
 
 class DomainError(ValueError):
@@ -27,3 +30,11 @@ class NonFiniteError(ArithmeticError):
 
 class TruncationWarning(RuntimeWarning):
     """A series was cut at the hard index cap before the tail bound was met."""
+
+
+def warn_truncation(message: str) -> None:
+    """TruncationWarning(message) at the first frame outside the package: the caller's line."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_back is not None and frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, TruncationWarning, level)

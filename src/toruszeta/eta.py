@@ -28,8 +28,8 @@ def _log_eta_product(tau: TauPoint, prec: Precision) -> complex:
     eta(tau), with the log-factors summed by the series driver."""
     z = tau.z
 
-    def block(ns: np.ndarray) -> tuple[np.ndarray, int]:
-        return np.log1p(-np.exp(2j * math.pi * z * ns)), 0
+    def block(ns: np.ndarray) -> tuple[np.ndarray, int, str]:
+        return np.log1p(-np.exp(2j * math.pi * z * ns)), 0, ""
 
     ratio = math.exp(-2.0 * math.pi * tau.tau2)
     log_prod = sum_series(block, 1.0, ratio, prec, "eta product", None)

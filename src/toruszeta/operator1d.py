@@ -29,7 +29,6 @@ each integrand's s-free part formed once per node.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -41,8 +40,8 @@ from .errors import (
     NonFiniteError,
     PoleError,
     SpectrumError,
-    TruncationWarning,
     ZeroModeError,
+    warn_truncation,
 )
 from .quadrature import _leggauss, adaptive_gauss_rows, tanh_sinh, tanh_sinh_rows, taylor
 from .specialfn import cospi, cpow, gamma, riemann_zeta, rgamma, sinpi
@@ -147,12 +146,12 @@ def _propagate(steps: tuple[np.ndarray, ...], ts: np.ndarray) -> tuple[np.ndarra
 
 
 def _propagator(
-    spec: OperatorSpec, prec: Precision, probes: np.ndarray = _PROBES
+    spec: OperatorSpec, prec: Precision, diag: Diagnostics, probes: np.ndarray = _PROBES
 ) -> Callable[[np.ndarray], tuple[np.ndarray, ...]]:
     """ts -> _propagate(steps, ts) with V sampled once.  The step count doubles
     from 16 until u(1) at n and 2n steps agree, at each t of probes, to the
     quadrature tolerance relative to |u| + |u'|/sqrt(1 + |t|), which stays
-    finite at a zero mode; n is capped at prec.n_max."""
+    finite at a zero mode; n stops at prec.n_max, which warns and notes it in diag."""
     tol = max(1e-13, 0.1 * prec.quad_rel_tol)
     n = min(16, 1 << (prec.n_max.bit_length() - 1))
     steps = _magnus_steps(spec.potential, n)
@@ -167,7 +166,8 @@ def _propagator(
             break
         n, steps, u = 2 * n, finer, u2
     else:
-        warnings.warn(f"Magnus step count hit n_max = {prec.n_max}", TruncationWarning, 3)
+        diag.warnings.append(f"Magnus step count hit n_max = {prec.n_max}")
+        warn_truncation(diag.warnings[-1])
     width = max(1, _CHUNK // n)
 
     def propagate(ts: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -190,7 +190,7 @@ def transfer(
     ts = np.asarray(ts, dtype=complex if np.iscomplexobj(ts) else float).ravel()
     far = ts[np.argmax(np.abs(ts))] if ts.size else 0.0
     probes = np.append(_PROBES, far) if abs(far) > _TAIL_CUT else _PROBES
-    u, _, w = _propagator(spec, prec, probes)(ts)
+    u, _, w = _propagator(spec, prec, Diagnostics(), probes)(ts)
     return u, w
 
 
@@ -219,13 +219,15 @@ def _require_positive(u: np.ndarray, ts: np.ndarray) -> np.ndarray:
 
 
 def _zeta_rows(
-    spec: OperatorSpec, ss: np.ndarray, prec: Precision = DEFAULT_PRECISION
-) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """zeta_operator's values and error estimates at each s of ss (s != 0 in
-    its window), the evaluations spent and whether a quadrature missed: one
-    propagator and one node table serve every s, whose integrands are stacked
-    rows that share the s-free part of each node's value."""
-    propagate = _propagator(spec, prec)
+    spec: OperatorSpec, ss: np.ndarray, prec: Precision = DEFAULT_PRECISION,
+    diag: Diagnostics | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """zeta_operator's values and error estimates at each s of ss (s != 0 in its
+    window): one propagator and one node table serve every s, whose integrands
+    are stacked rows sharing the s-free part of each node's value.  diag, if
+    given, gains the evaluations spent and a Magnus cap hit or quadrature miss."""
+    diag = diag if diag is not None else Diagnostics()
+    propagate = _propagator(spec, prec, diag)
     u0 = float(propagate(np.zeros(1))[0][0])
     # g(1) - g(0) - h(1), where h(1) = g(1) + log 2 - 1
     constant = 1.0 - _checked_log_det(u0)
@@ -264,8 +266,10 @@ def _zeta_rows(
         values.append(require_finite(value, "zeta_operator"))
     errs = [abs(sinpi(s) / math.pi) * (abs(s) * e + 1e-13)
             for s, e in zip(ss.tolist(), (head_q.err_estimate + tail_q.err_estimate).tolist())]
-    missed = head_q.missed or tail_q.missed
-    return np.array(values), np.array(errs), head_q.n_evals + tail_q.n_evals, missed
+    diag.quad_evals += head_q.n_evals + tail_q.n_evals
+    if head_q.missed or tail_q.missed:
+        diag.warnings.append("lambda quadrature above max(1e-13, quad_rel_tol / 10)")
+    return np.array(values), np.array(errs)
 
 
 def zeta_operator(
@@ -282,7 +286,7 @@ def zeta_operator(
     The one-row case of _zeta_rows: the lambda integral runs through tanh-sinh
     on [0, 1] and adaptive Gauss in log lambda on [1, 400], each row until its
     error estimate is within max(1e-13, quad_rel_tol / 10) * max(1, |integral|);
-    a miss adds a message to diagnostics.warnings."""
+    a quadrature miss or a Magnus cap hit adds a message to diagnostics.warnings."""
     s = complex(s)
     if not s.real < 1.0:
         raise DomainError("zeta_operator requires Re s < 1")
@@ -293,9 +297,7 @@ def zeta_operator(
     diag = Diagnostics()
     if abs(s) < 1e-300:  # the sin(pi s) factor kills everything but -1/2
         return EvalResult(-0.5 + 0.0j, 1e-15, "contour", diag)
-    values, errs, diag.quad_evals, missed = _zeta_rows(spec, np.array([s]), prec)
-    if missed:
-        diag.warnings.append("lambda quadrature above max(1e-13, quad_rel_tol / 10)")
+    values, errs = _zeta_rows(spec, np.array([s]), prec, diag)
     return EvalResult(complex(values[0]), float(errs[0]), "contour", diag)
 
 

@@ -30,10 +30,10 @@ geometrically in the number of points (Trefethen & Weideman, SIAM Rev. 56
 (2014) 385).  Its f takes all the circle points at once, as an array, so
 work they share (the operator zeta function's propagator) is done once.
 
-Every q-expansion -- a series whose terms decay like |q|^n -- goes through
-the one series driver ``sum_series``: the divisor-Bessel, contour and Mellin
-remainders, the Dedekind eta product, the Lambert series and the s = 1
-closed form.  It has one stopping rule and one TruncationWarning at n_max.
+Every q-expansion (terms decaying like |q|^n) goes through the one series
+driver ``sum_series``: the divisor-Bessel, contour and Mellin remainders, the
+eta product, the Lambert series and the s = 1 closed form.  It has one
+stopping rule, one TruncationWarning at n_max and one record of a quadrature miss.
 
 Integrands of the public functions take a numpy array of abscissae and
 return an array of the same length (real or complex).  All reductions run
@@ -43,7 +43,6 @@ in a fixed order so results are bit-reproducible across runs.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -51,7 +50,7 @@ from typing import Callable
 import numpy as np
 
 from .domain import Diagnostics, Precision
-from .errors import DomainError, TruncationWarning
+from .errors import DomainError, warn_truncation
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 RowIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]  # f(x, rows)
@@ -177,7 +176,7 @@ def adaptive_gauss_rows(
         vals = np.concatenate([vals[:i], halves[0], vals[i + 1 :]])
         errs = np.concatenate([errs[:i], halves[1], errs[i + 1 :]])
     else:
-        warnings.warn(f"adaptive_gauss hit MAX_PANELS = {MAX_PANELS}", TruncationWarning, 2)
+        warn_truncation(f"adaptive_gauss hit MAX_PANELS = {MAX_PANELS}")
     # the loop's test on the final panels: after a break every row meets it
     missed = not np.all(errs.sum(axis=0) <= np.maximum(abs_tol, rel_tol * abs(vals.sum(axis=0))))
     return QuadResult(vals.sum(axis=0), errs.sum(axis=0), n_evals, missed)
@@ -236,7 +235,7 @@ def trapezoid_rows(
             if not running.size:
                 break
     else:
-        warnings.warn(cap, TruncationWarning, 3)
+        warn_truncation(cap)
     err += rounding
     return QuadResult(value, err, n_evals, not np.all(err <= tol * np.maximum(floor, abs(value))))
 
@@ -327,22 +326,22 @@ def taylor(f: Integrand, center: float, radius: float, m: int = 8) -> np.ndarray
 
 
 def sum_series(
-    block: Callable[[np.ndarray], tuple[np.ndarray, int]],
+    block: Callable[[np.ndarray], tuple[np.ndarray, int, str]],
     scale: complex,
     ratio: float,
     prec: Precision,
     name: str,
     diag: Diagnostics | None,
 ) -> complex:
-    """scale * sum_{n>=1} term(n), where block(ns) returns the terms of a
-    block of consecutive n and the quadrature evaluations spent on them.
+    """scale * sum_{n>=1} term(n), where block(ns) returns the terms of a block
+    of consecutive n, the quadrature evaluations spent on them and a note: ""
+    or the message that the block's quadrature missed its tolerance.
 
-    The terms decay like ratio^n, with ratio = |q| < 1; the sum stops once
-    two consecutive scaled terms fall below series_tail_tol (1 - ratio),
-    which bounds the geometric tail by the same tolerance.  Terms computed
-    past the stop are discarded; reaching n_max first warns
-    (TruncationWarning, "<name> hit n_max = <n_max>").  diag, if given, gains
-    the terms summed, the evaluations spent and that warning's message."""
+    The terms decay like ratio^n, ratio = |q| < 1; the sum stops once two
+    consecutive scaled terms fall below series_tail_tol (1 - ratio), which
+    bounds the geometric tail by the same tolerance; later terms are discarded.
+    Reaching n_max first warns (TruncationWarning, "<name> hit n_max = <n_max>").
+    diag, if given, gains the terms summed, the evaluations, each note once and that warning."""
     diag = diag if diag is not None else Diagnostics()
     stop = prec.series_tail_tol * (1.0 - ratio)
     scale_abs = abs(scale)
@@ -350,8 +349,10 @@ def sum_series(
     small = 0
     n, size = 1, _FIRST_BLOCK
     while n <= prec.n_max:
-        terms, evals = block(np.arange(n, min(n + size, prec.n_max + 1)))
+        terms, evals, note = block(np.arange(n, min(n + size, prec.n_max + 1)))
         diag.quad_evals += evals
+        if note and note not in diag.warnings:
+            diag.warnings.append(note)
         for term in terms.tolist():
             total += term
             diag.terms_used += 1
@@ -360,5 +361,5 @@ def sum_series(
                 return scale * total
         n, size = n + len(terms), _BLOCK
     diag.warnings.append(f"{name} hit n_max = {prec.n_max}")
-    warnings.warn(diag.warnings[-1], TruncationWarning, stacklevel=3)
+    warn_truncation(diag.warnings[-1])
     return scale * total

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .domain import DEFAULT_PRECISION, Precision, require_finite
-from .errors import DomainError, PoleError
+from .errors import DomainError, NonFiniteError, PoleError
 from .quadrature import QuadResult, sum_series, trapezoid_rows
 
 _POLE_TOL = 1e-12
@@ -90,7 +91,10 @@ def sinpi(z: complex) -> complex:
     z = complex(z)
     m = math.floor(z.real + 0.5)
     r = complex(z.real - m, z.imag)
-    val = cmath.sin(math.pi * r)
+    try:
+        val = cmath.sin(math.pi * r)
+    except OverflowError:
+        raise NonFiniteError(f"sin(pi s) overflows double precision at s = {z}") from None
     return -val if m % 2 else val
 
 
@@ -130,13 +134,16 @@ def gamma(s: complex) -> complex:
 
 
 def rgamma(s: complex) -> complex:
-    """1/Gamma(s), entire; exactly 0 at the nonpositive integers."""
+    """1/Gamma(s), entire; exactly 0 at the nonpositive integers; NonFiniteError on overflow."""
     s = complex(s)
     if _near_nonpositive_integer(s):
         return 0.0 + 0.0j
     if s.real < 0.5:
         return sinpi(s) * gamma(1.0 - s) / math.pi
-    return 1.0 / gamma(s)
+    g = gamma(s)
+    if abs(g) * sys.float_info.max < 1.0:  # Gamma(s) is 0 or too small to invert
+        raise NonFiniteError(f"1/Gamma(s) overflows double precision at s = {s}")
+    return 1.0 / g
 
 
 def _zeta_euler_maclaurin(s: complex) -> complex:
@@ -316,8 +323,8 @@ def lambert_series(
         return 0.0 + 0.0j
     alpha = complex(alpha)
 
-    def block(ns: np.ndarray) -> tuple[np.ndarray, int]:
+    def block(ns: np.ndarray) -> tuple[np.ndarray, int, str]:
         qn = np.power(q, ns)
-        return cpow(ns, alpha) * qn / (1.0 - qn), 0
+        return cpow(ns, alpha) * qn / (1.0 - qn), 0, ""
 
     return sum_series(block, 1.0, abs(q), prec, "lambert_series", None)

@@ -28,7 +28,6 @@ closed form plus a remainder, the contour rows at s = 0 or Q(1, tau).
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -42,7 +41,7 @@ from .domain import (
     as_tau,
     require_finite,
 )
-from .errors import DomainError, PoleError, TruncationWarning
+from .errors import DomainError, PoleError, warn_truncation
 from .eta import fundamental_domain_reduce, log_abs_eta
 from .quadrature import (
     CHUNK,
@@ -152,9 +151,9 @@ def _direct_unreduced(s: complex, t: TauPoint, prec: Precision) -> EvalResult:
         return complex(value), float(weights * np.abs(vals).max()) * _SUM_ROUNDING
 
     diag = Diagnostics()
-    stopped = "direct-sum ladder stopped by n_max"
+    stopped = f"direct-sum ladder stopped by n_max = {prec.n_max}"
     if prec.n_max < 2:
-        warnings.warn(stopped, TruncationWarning, stacklevel=4)
+        warn_truncation(stopped)
         raise DomainError("the direct sum needs n_max >= 2 for two checkpoints")
     partials: list[tuple[int, complex]] = []
     running = 0.0 + 0.0j
@@ -175,8 +174,8 @@ def _direct_unreduced(s: complex, t: TauPoint, prec: Precision) -> EvalResult:
             full, rounding = fit(partials)
             check = fit(partials[1:])[0] if len(partials) > 2 else partials[0][1]
         if not agreed and k == prec.n_max:  # never the first checkpoint
-            diag.warnings.append(f"checkpoint ladder stopped by n_max = {prec.n_max}")
-            warnings.warn(stopped, TruncationWarning, stacklevel=4)
+            diag.warnings.append(stopped)
+            warn_truncation(stopped)
             break
         k = min(2 * k, prec.n_max)
     tau2_s = t.tau2**s
@@ -228,20 +227,16 @@ def _divisor_bessel_series(
     s: complex, t: TauPoint, prec: Precision, scale: complex = 1.0, diag: Diagnostics | None = None
 ) -> complex:
     """scale * sum_{n>=1} sigma_(1-2s)(n) cos(2 pi n tau1) K_(1/2-s)(2 pi n tau2) n^(s-1/2),
-    with the K_nu of a block of n from one stacked quadrature.  diag, if
-    given, also gains a warning when the quadrature reports that a K_nu row's
-    error estimate missed quad_rel_tol, as it does where it stops at its cap."""
-    diag = diag if diag is not None else Diagnostics()
+    with the K_nu of a block of n from one stacked quadrature, which notes for
+    sum_series a K_nu row whose error estimate missed quad_rel_tol (as at its cap)."""
     missed = f"K_nu quadrature above quad_rel_tol = {prec.quad_rel_tol:g}"
 
-    def block(ns: np.ndarray) -> tuple[np.ndarray, int]:
+    def block(ns: np.ndarray) -> tuple[np.ndarray, int, str]:
         xs = 2.0 * math.pi * t.tau2 * ns
         k = scaled_bessel_k(0.5 - s, xs, prec.quad_rel_tol)
-        if k.missed and missed not in diag.warnings:
-            diag.warnings.append(missed)
         sig = np.array([sigma(1.0 - 2.0 * s, int(n)) for n in ns])
-        bessel = k.value * np.exp(-xs)
-        return sig * np.cos(2.0 * math.pi * t.tau1 * ns) * bessel * ns ** (s - 0.5), k.n_evals
+        vals = sig * np.cos(2.0 * math.pi * t.tau1 * ns) * (k.value * np.exp(-xs)) * ns ** (s - 0.5)
+        return vals, k.n_evals, missed if k.missed else ""
 
     return sum_series(
         block, scale, math.exp(-2.0 * math.pi * t.tau2), prec, "divisor-Bessel series", diag
@@ -276,14 +271,12 @@ def _contour_series(
     """scale * sum_{n>=1} I_n(s), I_n(s) = int_0^inf (u^2 + 2 u n tau2)^(-s)
     d/du log[(1 - E1)(1 - E2)] du, a block of n by one tanh-sinh pass over
     (0, 8), one row per n; past u = 8 each row has decayed by e^(-16 pi).
-    diag, if given, also gains a warning when the quadrature reports that a
-    row's error estimate missed its tolerance, as it does where it stops at
-    its cap."""
-    diag = diag if diag is not None else Diagnostics()
+    A block notes for sum_series a row whose error estimate missed its tolerance
+    (as at its cap)."""
     tol = max(1e-14, 0.1 * prec.quad_rel_tol)
     missed = f"contour quadrature above tol = {tol:g}"
 
-    def block(ns: np.ndarray) -> tuple[np.ndarray, int]:
+    def block(ns: np.ndarray) -> tuple[np.ndarray, int, str]:
         two_n_tau2 = (2.0 * t.tau2 * ns)[:, None]
         decay = np.exp(-math.pi * two_n_tau2)  # e^(-2 pi n tau2)
         c = np.cos(2.0 * math.pi * t.tau1 * ns)[:, None]
@@ -295,9 +288,7 @@ def _contour_series(
             return cpow(u * (u + two_n_tau2[rows]), -s) * log_derivative
 
         res = tanh_sinh_rows(integrand, 0.0, 8.0, ns.size, tol=tol)
-        if res.missed and missed not in diag.warnings:
-            diag.warnings.append(missed)
-        return res.value, res.n_evals
+        return res.value, res.n_evals, missed if res.missed else ""
 
     return sum_series(
         block, scale, math.exp(-2.0 * math.pi * t.tau2), prec, "remainder_integral", diag
@@ -553,13 +544,13 @@ def lambert_q1(
     series = _divisor_bessel_series(1.0, t, prec).real
     z = t.z
 
-    def block(ns: np.ndarray) -> tuple[np.ndarray, int]:
+    def block(ns: np.ndarray) -> tuple[np.ndarray, int, str]:
         e_tau = np.exp(2j * math.pi * z * ns)  # decays
         e_conj_neg = np.exp(-2j * math.pi * z.conjugate() * ns)  # decays
         e_diff = np.exp(-4.0 * math.pi * t.tau2 * ns)  # e^(2 pi i n (tau - conj tau))
         num = e_conj_neg - 2.0 * e_diff + e_tau
         den = (e_tau - 1.0) * (1.0 - e_conj_neg)
-        return num / (den * ns), 0
+        return num / (den * ns), 0, ""
 
     ratio = math.exp(-2.0 * math.pi * t.tau2)
     closed_sum = sum_series(block, 1.0, ratio, prec, "lambert_q1 closed form", None)
@@ -583,7 +574,7 @@ def mellin_remainder_tau_i(
         raise DomainError("mellin_remainder_tau_i needs 0 < Re s < 1")
     tol = max(1e-14, 0.1 * prec.quad_rel_tol)
 
-    def block(ns: np.ndarray) -> tuple[np.ndarray, int]:
+    def block(ns: np.ndarray) -> tuple[np.ndarray, int, str]:
         n2 = (ns * ns).astype(float)[:, None]
 
         def integrand(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -593,7 +584,7 @@ def mellin_remainder_tau_i(
 
         u_hi = max(4.0, 54.0 - float(ns[0]) ** 2)
         res = tanh_sinh_rows(integrand, 0.0, u_hi, ns.size, tol=tol)
-        return res.value, res.n_evals
+        return res.value, res.n_evals, ""
 
     pref = 4.0 * sinpi(s) / math.pi
     value = sum_series(block, pref, math.exp(-2.0 * math.pi), prec, "mellin_remainder_tau_i", None)

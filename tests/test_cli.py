@@ -205,6 +205,15 @@ def test_unknown_what_is_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("s, cause", [("0.3+300i", "sin(pi s)"), ("0.7+500i", "1/Gamma(s)")])
+def test_eval_at_a_large_imaginary_s_names_the_overflow(capsys, s, cause):
+    code, out, _ = run(capsys, "eval", "--what", "eisenstein", "--s", s, "--tau", "1i")
+    assert code == EXIT_DOMAIN
+    error = json.loads(out)["error"]
+    assert error["type"] == "NonFiniteError"
+    assert error["message"].startswith(f"{cause} overflows double precision at s = ")
+
+
 # ------------------------------------------------------------- det
 
 

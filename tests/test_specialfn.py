@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from toruszeta import quadrature, specialfn
 from toruszeta.domain import Precision
-from toruszeta.errors import DomainError, PoleError, TruncationWarning
+from toruszeta.errors import DomainError, NonFiniteError, PoleError, TruncationWarning
 from toruszeta.specialfn import (
     bessel_k,
     cospi,
@@ -119,6 +119,23 @@ def test_sinpi_cospi_exact_at_integers():
     assert abs(cospi(0.5)) == 0.0
     assert abs(sinpi(0.5) - 1.0) < 1e-16
     assert abs(cospi(1.0) + 1.0) < 1e-16
+
+
+def test_sinpi_and_rgamma_refuse_overflow_by_name():
+    # |sin(pi s)| ~ e^(pi |Im s|)/2 passes the largest double at |Im s| = 226.1;
+    # |Gamma(1/2 + it)| ~ sqrt(2 pi) e^(-pi t / 2) falls below its reciprocal
+    # at t = 452.1, and Gamma itself underflows to 0 from t of about 455
+    assert cmath.isfinite(sinpi(0.3 + 226j))
+    with pytest.raises(NonFiniteError) as refused:
+        sinpi(0.3 + 227j)
+    assert str(refused.value) == "sin(pi s) overflows double precision at s = (0.3+227j)"
+    with pytest.raises(NonFiniteError, match=r"^sin\(pi s\) overflows"):
+        gamma(0.3 - 300j)  # through the reflection
+    assert cmath.isfinite(rgamma(0.5 + 452j))
+    for s in (0.5 + 453j, 0.5 + 460j):
+        with pytest.raises(NonFiniteError) as refused:
+            rgamma(s)
+        assert str(refused.value) == f"1/Gamma(s) overflows double precision at s = {s}"
 
 
 # ------------------------------------------------------------------ zeta

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toruszeta.domain import DEFAULT_PRECISION, Diagnostics, Precision, Sl2zMatrix, as_tau
-from toruszeta.errors import DomainError, PoleError, TruncationWarning
+from toruszeta.errors import DomainError, NonFiniteError, PoleError, TruncationWarning
 from toruszeta.eta import eta, fundamental_domain_reduce
 from toruszeta.quadrature import adaptive_gauss, tanh_sinh
 from toruszeta.specialfn import MAX_HALVINGS, bessel_k, gamma, rgamma, riemann_zeta, sigma
@@ -93,6 +93,18 @@ def test_direct_requires_convergent_region():
         eisenstein_direct(1.0 + 1e-13, 1j)
     with pytest.raises(DomainError):
         eisenstein_direct(0.5, 1j)
+
+
+@pytest.mark.parametrize("method", ["cs", "contour"])
+@pytest.mark.parametrize("s, cause", [(0.3 + 300j, "sin(pi s)"), (0.7 + 500j, "1/Gamma(s)")])
+def test_large_imaginary_s_is_refused_with_its_cause(method, s, cause):
+    # the contour route forms sin(pi s) for every Re s < 1, so it names that
+    if method == "contour":
+        cause = "sin(pi s)"
+    message = f"{cause} overflows double precision at s = {complex(s)}"
+    with pytest.raises(NonFiniteError) as refused:
+        eisenstein(s, 1j, method)
+    assert str(refused.value) == message
 
 
 def test_direct_truncation_cap_warns():
