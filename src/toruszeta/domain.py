@@ -139,7 +139,7 @@ class Diagnostics:
 
 @dataclass
 class EvalResult:
-    """Value of an evaluator together with an error estimate and bookkeeping."""
+    """A route's value, error estimate and bookkeeping; the one refusal of a non-finite value."""
 
     value: complex
     err_estimate: float
@@ -147,9 +147,7 @@ class EvalResult:
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
 
     def __post_init__(self) -> None:
-        v = complex(self.value)
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise NonFiniteError(f"non-finite value from method {self.method!r}")
+        require_finite(self.value, f"method {self.method!r}")
         if not (math.isfinite(self.err_estimate) and self.err_estimate >= 0):
             raise NonFiniteError("err_estimate must be finite and nonnegative")
 

@@ -31,9 +31,9 @@ geometrically in the number of points (Trefethen & Weideman, SIAM Rev. 56
 work they share (the operator zeta function's propagator) is done once.
 
 Every q-expansion (terms decaying like |q|^n) goes through the one series
-driver ``sum_series``: the divisor-Bessel, contour and Mellin remainders, the
-eta product, the Lambert series and the s = 1 closed form.  It has one
-stopping rule, one TruncationWarning at n_max and one record of a quadrature miss.
+driver ``sum_series`` (the three remainders, the eta product, the Lambert series
+and the s = 1 closed form), with one stopping rule, one n_max warning, one
+record of a quadrature miss and one refusal of a non-finite prefactor or sum.
 
 Integrands of the public functions take a numpy array of abscissae and
 return an array of the same length (real or complex).  All reductions run
@@ -42,6 +42,7 @@ in a fixed order so results are bit-reproducible across runs.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -50,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from .domain import Diagnostics, Precision
-from .errors import DomainError, warn_truncation
+from .errors import DomainError, NonFiniteError, warn_truncation
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 RowIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]  # f(x, rows)
@@ -341,25 +342,33 @@ def sum_series(
     consecutive scaled terms fall below series_tail_tol (1 - ratio), which
     bounds the geometric tail by the same tolerance; later terms are discarded.
     Reaching n_max first warns (TruncationWarning, "<name> hit n_max = <n_max>").
-    diag, if given, gains the terms summed, the evaluations, each note once and that warning."""
+    diag, if given, gains the terms summed, the evaluations, each note once and that warning.
+    NonFiniteError: |scale| not finite, before the first block; after a block, the scaled
+    sum of the terms summed so far not finite (Python complex arithmetic: no numpy warning)."""
+    if not math.hypot(scale.real, scale.imag) < math.inf:  # where abs(scale) would raise
+        raise NonFiniteError(f"{name}: prefactor {scale} overflows double precision")
     diag = diag if diag is not None else Diagnostics()
     stop = prec.series_tail_tol * (1.0 - ratio)
     scale_abs = abs(scale)
     total = 0.0 + 0.0j
     small = 0
     n, size = 1, _FIRST_BLOCK
-    while n <= prec.n_max:
+    while n <= prec.n_max and small < 2:
         terms, evals, note = block(np.arange(n, min(n + size, prec.n_max + 1)))
         diag.quad_evals += evals
         if note and note not in diag.warnings:
             diag.warnings.append(note)
         for term in terms.tolist():
             total += term
-            diag.terms_used += 1
+            n += 1
             small = small + 1 if abs(term) * scale_abs < stop else 0
             if small >= 2:
-                return scale * total
-        n, size = n + len(terms), _BLOCK
-    diag.warnings.append(f"{name} hit n_max = {prec.n_max}")
-    warn_truncation(diag.warnings[-1])
+                break
+        if not cmath.isfinite(scale * total):
+            raise NonFiniteError(f"{name}: prefactor times terms 1..{n - 1} is not finite")
+        size = _BLOCK
+    diag.terms_used += n - 1
+    if small < 2:
+        diag.warnings.append(f"{name} hit n_max = {prec.n_max}")
+        warn_truncation(diag.warnings[-1])
     return scale * total

@@ -129,8 +129,13 @@ def gamma(s: complex) -> complex:
     for k in range(1, len(_LANCZOS_C)):
         acc += _LANCZOS_C[k] / (z + k)
     t = z + _LANCZOS_G + 0.5
-    val = math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
-    return require_finite(val, "gamma")
+    try:  # t ** (z + 0.5) overflows from Re s of about 142.8, the product from 142.6
+        val = math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
+    except OverflowError:
+        val = math.inf
+    if not cmath.isfinite(val):
+        raise NonFiniteError(f"Gamma(z) overflows double precision at z = {s}")
+    return val
 
 
 def rgamma(s: complex) -> complex:

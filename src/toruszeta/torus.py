@@ -39,7 +39,6 @@ from .domain import (
     Precision,
     TauPoint,
     as_tau,
-    require_finite,
 )
 from .errors import DomainError, PoleError, warn_truncation
 from .eta import fundamental_domain_reduce, log_abs_eta
@@ -181,7 +180,7 @@ def _direct_unreduced(s: complex, t: TauPoint, prec: Precision) -> EvalResult:
     tau2_s = t.tau2**s
     value = tau2_s * full
     err = abs(tau2_s) * (abs(full - check) + rounding)
-    return EvalResult(require_finite(value, "eisenstein_direct"), err, "direct", diag)
+    return EvalResult(value, err, "direct", diag)
 
 
 # ------------------------------------------------- shared Chowla-Selberg head
@@ -252,17 +251,15 @@ def remainder_bessel(
     """Bessel-series remainder
     Q(s,tau) = (8 pi^s tau2^(1/2) / Gamma(s)) *
                sum_{n>=1} sigma_(1-2s)(n) cos(2 pi n tau1) K_(1/2-s)(2 pi n tau2) n^(s-1/2).
-    Terms decay like e^(-2 pi n tau2).  diag, if given, gains the terms
-    summed and the quadrature evaluations."""
+    Terms decay like e^(-2 pi n tau2).  diag, if given, gains the terms summed and
+    the evaluations; sum_series refuses a prefactor or partial sum that is not finite."""
     s = complex(s)
     t = as_tau(tau)
     rg = rgamma(s)
     if rg == 0:
         return 0.0 + 0.0j
     pref = 8.0 * math.pi**s * math.sqrt(t.tau2) * rg
-    return require_finite(
-        _divisor_bessel_series(s, t, prec, pref, diag), "remainder_bessel"
-    )
+    return _divisor_bessel_series(s, t, prec, pref, diag)
 
 
 def _contour_series(
@@ -311,18 +308,18 @@ def remainder_integral(
     logarithmic derivative is 4 pi Re[E/(1-E)]
     = 4 pi (rho c - rho^2) / (1 - 2 rho c + rho^2), c = cos(2 pi n tau1),
     and the u-integrand has only the algebraic u^(-s) endpoint singularity.
-    _contour_series sums the rows; Q'(0) = 2 sum I_n(0), where Q(0) = 0.  diag,
-    if given, gains the terms summed and the quadrature evaluations.
+    _contour_series sums the rows; Q'(0) = 2 sum I_n(0), where Q(0) = 0.  diag, if given,
+    gains the terms and evaluations; sum_series refuses a non-finite prefactor or sum.
     """
     s = complex(s)
     t = as_tau(tau)
     if not s.real < 1.0:
         raise DomainError("the contour remainder is realized only for Re s < 1")
     sp = sinpi(s)
-    if sp == 0:
+    if sp == 0:  # Q = 0 before tau2^s, which can overflow at an unreduced tau
         return 0.0 + 0.0j
     pref = 2.0 * t.tau2**s * sp / math.pi
-    return require_finite(_contour_series(s, t, prec, pref, diag), "remainder_integral")
+    return _contour_series(s, t, prec, pref, diag)
 
 
 # ------------------------------------------------------------- E* evaluators
@@ -397,7 +394,7 @@ def zeta_laplacian(
     base = eisenstein(s, t, method, prec)
     scale = (2.0 * math.pi) ** (-2.0 * s) * t.tau2**s
     return EvalResult(
-        require_finite(scale * base.value, "zeta_laplacian"),
+        scale * base.value,
         abs(scale) * base.err_estimate,
         base.method,
         base.diagnostics,
@@ -587,8 +584,7 @@ def mellin_remainder_tau_i(
         return res.value, res.n_evals, ""
 
     pref = 4.0 * sinpi(s) / math.pi
-    value = sum_series(block, pref, math.exp(-2.0 * math.pi), prec, "mellin_remainder_tau_i", None)
-    return require_finite(value, "mellin_remainder_tau_i")
+    return sum_series(block, pref, math.exp(-2.0 * math.pi), prec, "mellin_remainder_tau_i", None)
 
 
 # ---------------------------------------------------------------- heat kernel

@@ -205,13 +205,18 @@ def test_unknown_what_is_usage_error(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("s, cause", [("0.3+300i", "sin(pi s)"), ("0.7+500i", "1/Gamma(s)")])
+@pytest.mark.parametrize("s, cause", [("0.3+300i", "sin(pi s)"), ("0.7+500i", "1/Gamma(s)"),
+                                      ("150", "Gamma(z)"), ("-75.5", "Gamma(z)")])
 def test_eval_at_a_large_imaginary_s_names_the_overflow(capsys, s, cause):
+    # past s of about 142.6 Gamma overflows and names its own argument z; at
+    # s = -75.5 that is the head's Gamma(2 - 2s), z = 152.  The direct route
+    # returns 4 at s = 150
     code, out, _ = run(capsys, "eval", "--what", "eisenstein", "--s", s, "--tau", "1i")
     assert code == EXIT_DOMAIN
     error = json.loads(out)["error"]
     assert error["type"] == "NonFiniteError"
-    assert error["message"].startswith(f"{cause} overflows double precision at s = ")
+    at = {"150": "z = (150+0j)", "-75.5": "z = (152+0j)"}.get(s, "s = ")
+    assert error["message"].startswith(f"{cause} overflows double precision at {at}")
 
 
 # ------------------------------------------------------------- det

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from toruszeta import quadrature
-from toruszeta.errors import DomainError, TruncationWarning
+from toruszeta.domain import Diagnostics, Precision
+from toruszeta.errors import DomainError, NonFiniteError, TruncationWarning
 from toruszeta.quadrature import (
     adaptive_gauss,
     adaptive_gauss_rows,
     gauss_panel,
+    sum_series,
     tanh_sinh,
     tanh_sinh_rows,
     taylor,
@@ -315,6 +317,67 @@ def test_cores_say_when_a_row_missed(monkeypatch):
         assert adaptive_gauss(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0, rel_tol=1e-13).missed
     # a positional three-field construction still works, with missed False
     assert not quadrature.QuadResult(1.0, 0.0, 1).missed
+
+
+# ------------------------------------------------------------- series driver
+
+
+def _tenths(calls: list[int], bad: complex | None = None, at: int = 0):
+    """A series block of terms 10^-n that records its sizes; from term `at` on
+    the terms are `bad`."""
+
+    def block(ns: np.ndarray):
+        calls.append(ns.size)
+        terms = 10.0 ** -ns.astype(float) + 0j
+        if bad is not None:
+            terms[ns >= at] = bad
+        return terms, 0, ""
+
+    return block
+
+
+# (-inf+nanj) is the cs prefactor at s = 0.5+452i; the last has finite parts
+# but a modulus past the largest double, where abs() raises OverflowError
+@pytest.mark.parametrize("scale", [complex(-math.inf, math.nan), complex(math.inf, 0.0), math.nan,
+                                   complex(1.5e308, 1e308)])
+def test_sum_series_refuses_a_non_finite_prefactor_before_any_block(scale):
+    calls = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError) as refused:
+            sum_series(_tenths(calls), scale, 0.1, Precision(), "tenths", None)
+    assert str(refused.value) == f"tenths: prefactor {scale} overflows double precision"
+    assert calls == []
+
+
+# bad terms from n = 12 lie in the second block (n = 9..24), so the driver
+# refuses there and asks for no third block; a finite prefactor too large
+# for its terms is refused at the first block (n = 1..8)
+@pytest.mark.parametrize("scale, bad, at, blocks", [
+    (1.0, complex(math.inf, 0.0), 12, [8, 16]),
+    (1.0, complex(math.nan, 0.0), 12, [8, 16]),
+    (1.0, complex(1e308, 0.0), 12, [8, 16]),
+    (1e308, complex(100.0, 0.0), 1, [8]),
+])
+def test_sum_series_refuses_a_non_finite_sum_at_its_block(scale, bad, at, blocks):
+    calls = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no TruncationWarning: n_max is never reached
+        with pytest.raises(NonFiniteError) as refused:
+            sum_series(_tenths(calls, bad, at), scale, 0.1, Precision(), "tenths", None)
+    assert str(refused.value) == f"tenths: prefactor times terms 1..{sum(blocks)} is not finite"
+    assert calls == blocks
+
+
+def test_sum_series_never_refuses_a_discarded_term():
+    # 10^-15 and 10^-16 are the two small terms that stop the sum at n = 16,
+    # inside the second block; the NaN terms after them are discarded
+    calls, diag = [], Diagnostics()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = sum_series(_tenths(calls, math.nan, 17), 1.0, 0.1, Precision(), "tenths", diag)
+    assert value == sum(10.0**-n for n in range(1, 17))
+    assert calls == [8, 16] and diag.terms_used == 16 and diag.warnings == []
 
 
 # ------------------------------------------------------- Taylor coefficients

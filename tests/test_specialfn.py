@@ -136,6 +136,14 @@ def test_sinpi_and_rgamma_refuse_overflow_by_name():
         with pytest.raises(NonFiniteError) as refused:
             rgamma(s)
         assert str(refused.value) == f"1/Gamma(s) overflows double precision at s = {s}"
+    # Gamma stays below the largest double up to s = 171.6, but the power
+    # t^(s - 1/2) of its Lanczos sum overflows from s of about 142.6; Gamma
+    # names its own argument, through the reflection that of Gamma(1 - s)
+    assert cmath.isfinite(gamma(142.5))
+    for s, z in ((150.0, 150.0), (142.7, 142.7), (-150.5, 151.5)):
+        with pytest.raises(NonFiniteError) as refused:
+            gamma(s)
+        assert str(refused.value) == f"Gamma(z) overflows double precision at z = {complex(z)}"
 
 
 # ------------------------------------------------------------------ zeta
@@ -530,6 +538,14 @@ def test_lambert_domain():
         lambert_series(1.0, 1.0)
     with pytest.raises(DomainError):
         lambert_series(1.0, -1.2)
+
+
+def test_lambert_refuses_a_nan_q():
+    # NaN passes the |q| < 1 test (the comparison is False); the series
+    # driver refuses the first block of NaN terms, not the 10,000th term
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError) as refused:
+        lambert_series(-1.0, math.nan)
+    assert str(refused.value) == "lambert_series: prefactor times terms 1..8 is not finite"
 
 
 def test_lambert_truncation_warning():

@@ -107,6 +107,24 @@ def test_large_imaginary_s_is_refused_with_its_cause(method, s, cause):
     assert str(refused.value) == message
 
 
+# the prefactors 8 pi^s sqrt(tau2) / Gamma(s) (|1/Gamma| about 6e307) and
+# 2 tau2^s sin(pi s) / pi (|sin(pi s)| just below the largest double) overflow
+# while each factor is finite; the series driver refuses before any term
+@pytest.mark.parametrize("method, s, series", [
+    ("cs", 0.5 + 452j, "divisor-Bessel series"),
+    ("contour", 0.3 + 226j, "remainder_integral"),
+])
+def test_an_overflowing_prefactor_is_refused_before_the_series(method, s, series):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFiniteError) as refused:
+            eisenstein(s, 1j, method)
+    message = str(refused.value)
+    assert message.startswith(f"{series}: prefactor (")
+    assert message.endswith(") overflows double precision")
+    assert caught == []
+
+
 def test_direct_truncation_cap_warns():
     capped = Precision(n_max=50)
     with pytest.warns(TruncationWarning):
