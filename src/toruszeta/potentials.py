@@ -1,12 +1,7 @@
-"""Tiny recursive-descent parser for potential expressions on [0, 1].
+"""Potential expressions on [0, 1]: numbers, x, + - * /, brackets and sin, cos,
+exp, parsed by Python's `ast` under an allow-list and compiled to one function."""
 
-Grammar: numbers, the variable x, + - * /, parentheses and the functions
-sin, cos, exp.  Compiles to a plain float -> float callable; expressions
-nested deeper than MAX_DEPTH are rejected.
-"""
-
-from __future__ import annotations
-
+import ast
 import math
 import re
 from typing import Callable
@@ -22,131 +17,79 @@ _TOKEN = re.compile(
     r"|(?P<op>[()+\-*/]))"
 )
 
-_FUNCTIONS: dict[str, Callable[[float], float]] = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-}
+_FUNCTIONS: dict[str, Callable[[float], float]] = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
 
-Expr = Callable[[float], float]
-Node = tuple[Expr, int]  # a compiled callable and the depth of its tree
-
-# Deepest compiled tree, and deepest bracket nesting, that is accepted.
-# Parsing takes five Python frames per bracket level and evaluation one per
-# tree level, so accepted input stays well inside the default recursion limit.
+# Deepest expression tree, and deepest bracket nesting, that is accepted.  The
+# check walks at most MAX_DEPTH tree levels; the compiled function is one frame.
 MAX_DEPTH = 100
 
 _TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
+def _python_source(text: str) -> str:
+    """The potential spelt as Python, one _TOKEN token at a time.
+
+    Signs where an operand is due fold into one minus or none, so a long run
+    costs the Python parser no recursion.  Each number is spelt as the repr of
+    its float(), so Python reads the same double and never an exact integer.
+    Bracket nesting is counted here, since brackets leave no node in the tree.
+    """
+    out: list[str] = []
+    pos = nesting = 0
+    operand_next, negate = True, False
+    text = text.rstrip()
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
             raise PotentialParseError(f"unexpected character {text[pos]!r} at {pos}")
-        tokens.append(m.group(m.lastgroup))
-        pos = m.end()
-    tokens.append("<eof>")
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-        self.nesting = 0
-
-    def peek(self) -> str:
-        return self.tokens[self.pos]
-
-    def take(self) -> str:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        if self.take() != tok:
-            raise PotentialParseError(f"expected {tok!r} near token {self.pos}")
-
-    @staticmethod
-    def node(fn: Expr, *children: Node) -> Node:
-        depth = 1 + max((d for _, d in children), default=0)
-        if depth > MAX_DEPTH:
-            raise PotentialParseError(_TOO_DEEP)
-        return fn, depth
-
-    def expression(self) -> Node:
-        node = self.term()
-        while self.peek() in "+-":
-            op = self.take()
-            rhs = self.term()
-            a, b = node[0], rhs[0]
-            if op == "+":
-                node = self.node(lambda x, a=a, b=b: a(x) + b(x), node, rhs)
-            else:
-                node = self.node(lambda x, a=a, b=b: a(x) - b(x), node, rhs)
-        return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while self.peek() in "*/":
-            op = self.take()
-            rhs = self.unary()
-            a, b = node[0], rhs[0]
-            if op == "*":
-                node = self.node(lambda x, a=a, b=b: a(x) * b(x), node, rhs)
-            else:
-                node = self.node(lambda x, a=a, b=b: a(x) / b(x), node, rhs)
-        return node
-
-    def unary(self) -> Node:
-        # a run of signs is read in a loop, so its length costs no recursion
-        negate = False
-        while self.peek() in ("-", "+"):
-            negate ^= self.take() == "-"
-        node = self.primary()
+        pos, tok = m.end(), m.group(m.lastgroup)
+        if operand_next and tok in ("+", "-"):
+            negate ^= tok == "-"
+            continue
         if negate:
-            a = node[0]
-            return self.node(lambda x, a=a: -a(x), node)
-        return node
-
-    def bracketed(self) -> Node:
-        """The expression after an opening bracket, up to its closing one."""
-        self.nesting += 1
-        if self.nesting > MAX_DEPTH:
+            out.append("-")
+            negate = False
+        if m.lastgroup == "num":
+            tok = repr(float(tok)).replace("inf", "1e999")
+        nesting += (tok == "(") - (tok == ")")
+        if nesting > MAX_DEPTH:
             raise PotentialParseError(_TOO_DEEP)
-        node = self.expression()
-        self.expect(")")
-        self.nesting -= 1
-        return node
-
-    def primary(self) -> Node:
-        tok = self.take()
-        if tok == "(":
-            return self.bracketed()
-        if tok == "x":
-            return self.node(lambda x: x)
-        if tok in _FUNCTIONS:
-            fn = _FUNCTIONS[tok]
-            self.expect("(")
-            inner = self.bracketed()
-            a = inner[0]
-            return self.node(lambda x, a=a, f=fn: f(a(x)), inner)
-        try:
-            value = float(tok)
-        except ValueError:
-            raise PotentialParseError(f"unknown name or token {tok!r}") from None
-        return self.node(lambda x, v=value: v)
+        out.append(tok)
+        operand_next = tok in ("(", "+", "-", "*", "/")
+    return " ".join(out)
 
 
-def parse_potential(text: str) -> Expr:
+def _check(node: ast.expr, source: str, level: int = 1) -> None:
+    """Refuse a node outside the grammar, or a level deeper than MAX_DEPTH."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
+        children = [node.left, node.right]
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        children = [node.operand]
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+          and node.func.id in _FUNCTIONS and len(node.args) == 1 and not node.keywords):
+        children = node.args
+    elif (isinstance(node, ast.Name) and node.id == "x"
+          or isinstance(node, ast.Constant) and type(node.value) is float):
+        children = []
+    else:  # the source text, since ast.unparse recurses through the whole node
+        shown = ast.get_source_segment(source, node)
+        raise PotentialParseError(f"not in the potential grammar: {shown!r}")
+    if level > MAX_DEPTH:
+        raise PotentialParseError(_TOO_DEEP)
+    for child in children:
+        _check(child, source, level + 1)
+
+
+def parse_potential(text: str) -> Callable[[float], float]:
     """Compile a potential expression like "x*(1-x)" or "4" to a callable."""
     if not text.strip():
         raise PotentialParseError("empty potential expression")
-    parser = _Parser(_tokenize(text))
-    node, _ = parser.expression()
-    if parser.peek() != "<eof>":
-        raise PotentialParseError(f"trailing input from token {parser.pos}")
-    return node
+    source = "lambda x: " + _python_source(text)
+    try:
+        tree = ast.parse(source, mode="eval")
+    except SyntaxError as exc:
+        raise PotentialParseError(f"invalid potential expression: {exc.msg}") from None
+    except (RecursionError, MemoryError):  # a chain of thousands of operators
+        raise PotentialParseError(_TOO_DEEP) from None
+    _check(tree.body.body, source)
+    return eval(compile(tree, "<potential>", "eval"), {"__builtins__": {}, **_FUNCTIONS})

@@ -238,6 +238,10 @@ def scaled_bessel_k(nu: complex, xs: np.ndarray, rel_tol: float) -> QuadResult:
 
     nu_c = complex(nu)
     nu_arg: complex | float = nu_c if nu_c.imag != 0 else nu_c.real
+    if a * w_max > 709.0:  # below, e^(a w) < DBL_MAX: no cosh(nu w) can overflow
+        with np.errstate(over="ignore", invalid="ignore"):  # the last node; exact for real nu
+            if not np.isfinite(np.cosh(nu_arg * w_max)):
+                raise NonFiniteError(f"K_nu: cosh(nu w) overflows double precision at nu = {nu}")
     col = xs[:, None]
 
     def f(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -288,13 +292,16 @@ def sigma(v: complex, n: int) -> complex:
     v = complex(v)
     total = 0.0 + 0.0j
     d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d**v
-            e = n // d
-            if e != d:
-                total += e**v
-        d += 1
+    try:
+        while d * d <= n:
+            if n % d == 0:
+                total += d**v
+                e = n // d
+                if e != d:
+                    total += e**v
+            d += 1
+    except OverflowError:
+        raise NonFiniteError(f"sigma_v(n) overflows double precision at v = {v}, n = {n}") from None
     return total
 
 

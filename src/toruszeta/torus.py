@@ -40,7 +40,7 @@ from .domain import (
     TauPoint,
     as_tau,
 )
-from .errors import DomainError, PoleError, warn_truncation
+from .errors import DomainError, NonFiniteError, PoleError, warn_truncation
 from .eta import fundamental_domain_reduce, log_abs_eta
 from .quadrature import (
     CHUNK,
@@ -318,7 +318,11 @@ def remainder_integral(
     sp = sinpi(s)
     if sp == 0:  # Q = 0 before tau2^s, which can overflow at an unreduced tau
         return 0.0 + 0.0j
-    pref = 2.0 * t.tau2**s * sp / math.pi
+    try:
+        pref = 2.0 * t.tau2**s * sp / math.pi
+    except OverflowError:  # tau2^s, before sum_series could see the prefactor
+        raise NonFiniteError(f"remainder_integral: prefactor 2 tau2^s sin(pi s)/pi overflows "
+                             f"double precision at s = {s}, tau2 = {t.tau2}") from None
     return _contour_series(s, t, prec, pref, diag)
 
 

@@ -219,6 +219,21 @@ def test_eval_at_a_large_imaginary_s_names_the_overflow(capsys, s, cause):
     assert error["message"].startswith(f"{cause} overflows double precision at {at}")
 
 
+# through cs at tau = i, real s from about -128.8 to -76.2 overflow sigma's
+# divisor powers and s from about 129.9 the K_nu integrand's cosh; both are
+# refused by name, the second before numpy could warn
+@pytest.mark.parametrize("s, message", [
+    ("-100.5", "sigma_v(n) overflows double precision at v = (202+0j), n = 34"),
+    ("135", "K_nu: cosh(nu w) overflows double precision at nu = (-134.5+0j)"),
+], ids=["sigma", "k_nu"])
+def test_eval_names_the_overflow_of_sigma_and_k_nu(capsys, s, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run(capsys, "eval", "--what", "eisenstein", "--s", s, "--tau", "1i")
+    assert code == EXIT_DOMAIN
+    assert json.loads(out)["error"] == {"type": "NonFiniteError", "message": message}
+
+
 # ------------------------------------------------------------- det
 
 
@@ -266,8 +281,8 @@ def test_det_operator_bad_potential_usage(capsys):
 
 @pytest.mark.parametrize(
     "potential",
-    ["(" * 2000 + "x" + ")" * 2000, "+".join(["x"] * 3000)],
-    ids=["nested_parentheses", "long_sum"],
+    ["(" * 2000 + "x" + ")" * 2000, "+".join(["x"] * 3000), "+".join(["x"] * 60000)],
+    ids=["nested_parentheses", "long_sum", "very_long_sum"],
 )
 def test_det_operator_too_deep_potential_usage(capsys, potential):
     code, _, err = run(capsys, "det", "operator", "--potential", potential)

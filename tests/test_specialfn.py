@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,24 @@ def test_sinpi_and_rgamma_refuse_overflow_by_name():
         with pytest.raises(NonFiniteError) as refused:
             gamma(s)
         assert str(refused.value) == f"Gamma(z) overflows double precision at z = {complex(z)}"
+
+
+def test_sigma_and_bessel_k_refuse_overflow_by_name():
+    # 34^202 passes the largest double, 6^201 does not
+    assert cmath.isfinite(sigma(201, 6))
+    with pytest.raises(NonFiniteError) as refused:
+        sigma(202, 34)
+    assert str(refused.value) == "sigma_v(n) overflows double precision at v = (202+0j), n = 34"
+    # cosh(nu w) overflows at the last trapezoid node long before K_nu(x)
+    # does; it is refused before the integrand runs, so numpy warns nothing
+    assert math.isfinite(bessel_k(95, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nu in (130, 130 + 5j):
+            with pytest.raises(NonFiniteError) as refused:
+                bessel_k(nu, 1.0)
+            assert str(refused.value) == (
+                f"K_nu: cosh(nu w) overflows double precision at nu = {complex(nu)}")
 
 
 # ------------------------------------------------------------------ zeta

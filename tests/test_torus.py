@@ -125,6 +125,18 @@ def test_an_overflowing_prefactor_is_refused_before_the_series(method, s, series
     assert caught == []
 
 
+# at tau2 = 0.001 the power tau2^s of the contour prefactor overflows from
+# s of about -102.8; it is refused by name before the series driver sees it,
+# except at the zeros of sin(pi s), where the remainder is 0 before tau2^s
+def test_remainder_integral_names_an_overflowing_tau2_power():
+    with pytest.raises(NonFiniteError) as refused:
+        remainder_integral(-300.5, 0.001j)
+    assert str(refused.value) == (
+        "remainder_integral: prefactor 2 tau2^s sin(pi s)/pi overflows double precision "
+        "at s = (-300.5+0j), tau2 = 0.001")
+    assert remainder_integral(-300, 0.001j) == 0
+
+
 def test_direct_truncation_cap_warns():
     capped = Precision(n_max=50)
     with pytest.warns(TruncationWarning):
