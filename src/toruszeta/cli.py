@@ -429,6 +429,8 @@ def main(argv: list[str] | None = None) -> int:
         DomainError,
         NormalizationError,
         NonFiniteError,
+        # a safety net only: the potential, E*'s powers of tau2 and the special
+        # functions refuse their overflows by name, but the rest is not audited
         OverflowError,
         ZeroDivisionError,
         RuntimeWarning,  # a warning (a cap hit, a numpy overflow) that a filter made an error

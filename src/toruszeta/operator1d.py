@@ -43,10 +43,24 @@ from .errors import (
     ZeroModeError,
     warn_truncation,
 )
-from .quadrature import _leggauss, adaptive_gauss_rows, tanh_sinh, tanh_sinh_rows, taylor
+from .quadrature import adaptive_gauss_rows, gauss_panel, tanh_sinh, tanh_sinh_rows, taylor
 from .specialfn import cospi, cpow, gamma, riemann_zeta, rgamma, sinpi
 
 _SAMPLE_POINTS = np.linspace(0.0, 1.0, 101)
+
+
+def _sample(v: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
+    """V at each x of xs, passed as a Python float, as a float array: the one
+    place V is called.  A fault V raises (exp(1000), sin(inf)) or a value that
+    is not finite is a DomainError."""
+    try:
+        vals = np.array([float(v(x)) for x in xs.tolist()])
+    except (ArithmeticError, ValueError) as exc:
+        raise DomainError(f"potential must be finite on [0, 1]: V raised "
+                          f"{type(exc).__name__} ({exc})") from None
+    if not np.all(np.isfinite(vals)):
+        raise DomainError("potential must be finite on [0, 1]")
+    return vals
 
 
 @dataclass
@@ -62,19 +76,18 @@ class OperatorSpec:
     _mean_v: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        samples = np.array([float(self.potential(x)) for x in _SAMPLE_POINTS])
-        if not np.all(np.isfinite(samples)):
-            raise DomainError("potential must be finite on [0, 1]")
-        self._is_free = bool(np.all(samples == 0.0))
+        self._is_free = not np.any(_sample(self.potential, _SAMPLE_POINTS))
         # Gauss-Legendre mean of V, used for the analytic quadrature tail
-        x, w = _leggauss(32)
-        self._mean_v = 0.5 * float(np.dot(w, [float(self.potential(0.5 + 0.5 * xi)) for xi in x]))
+        self._mean_v = gauss_panel(lambda x: _sample(self.potential, x), 0.0, 1.0, 32).real
 
 
 _GAUSS3 = math.sqrt(15.0) / 10.0  # the outer 3-point Gauss nodes sit at 1/2 -+ this
 _CHUNK = 2**12  # t values x steps propagated at once; keeps the peak memory flat
 _TAIL_CUT = 400.0  # upper end of the numerically integrated lambda range
 _PROBES = np.array([0.0, _TAIL_CUT])  # where the step count is fitted
+# 1/j! for j <= 170, then 0.0 for 171: 171! passes the largest double
+_INV_FACTORIAL = [1.0 / math.factorial(j) for j in range(171)] + [0.0]
+_MAX_TERMS = 85  # the last term of C has 1/170!, of S 1/171! = 0.0
 
 
 def _magnus_steps(v: Callable[[float], float], n: int) -> tuple[np.ndarray, ...]:
@@ -85,9 +98,7 @@ def _magnus_steps(v: Callable[[float], float], n: int) -> tuple[np.ndarray, ...]
     constant; returns a, b, c at t = 0 and da/dt, dc/dt."""
     h = 1.0 / n
     mid = (np.arange(n) + 0.5) * h
-    v1, v2, v3 = (np.array([float(v(x)) for x in mid + k * _GAUSS3 * h]) for k in (-1, 0, 1))
-    if not np.all(np.isfinite(v1 + v2 + v3)):
-        raise DomainError("potential must be finite on [0, 1]")
+    v1, v2, v3 = (_sample(v, mid + k * _GAUSS3 * h) for k in (-1, 0, 1))
     e2, e3 = math.sqrt(15.0) / 3.0 * h * (v3 - v1), 10.0 / 3.0 * h * (v3 - 2.0 * v2 + v1)
     k1 = h * e2
     # the commutator of X = [[k1, -20h], [xc, -k1]] and Y = [[y, yb], [yc, -y]]
@@ -127,12 +138,17 @@ def _propagate(steps: tuple[np.ndarray, ...], ts: np.ndarray) -> tuple[np.ndarra
     at, ct = a0 + t * da, c0 + t * dc
     z = at * at + b * ct
     dz = (at + a0) * da + b * dc  # (z - z[:, :1])/t
-    zmax, terms = np.max(np.abs(z)), 1  # enough terms that the next is below 1e-17
-    while zmax**terms / math.factorial(2 * terms + 2) > 1e-17:
+    # enough terms that the next, zmax^terms / (2 terms + 2)!, is below 1e-17,
+    # counted by the ratio of consecutive terms; past _MAX_TERMS every
+    # coefficient is 0.0, so a huge zmax stops there
+    zmax, terms = np.max(np.abs(z)), 1
+    term = zmax / 24.0
+    while term > 1e-17 and terms < _MAX_TERMS:
+        term *= zmax / ((2 * terms + 3) * (2 * terms + 4))
         terms += 1
     # C - 1 = z cz and S - 1 = z sz
-    cz, dcz = _horner([1.0 / math.factorial(2 * k + 2) for k in range(terms)], z)
-    sz, dsz = _horner([1.0 / math.factorial(2 * k + 3) for k in range(terms)], z)
+    cz, dcz = _horner(_INV_FACTORIAL[2 : 2 * terms + 2 : 2], z)
+    sz, dsz = _horner(_INV_FACTORIAL[3 : 2 * terms + 3 : 2], z)
     s = 1.0 + z * sz
     dcos, dsin = (cz + z[:, :1] * dcz) * dz, (sz + z[:, :1] * dsz) * dz
     nt = np.array([[z * cz + s * at, s * b], [s * ct, z * cz - s * at]])

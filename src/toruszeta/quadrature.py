@@ -12,15 +12,16 @@ before its tolerance is met:
 They rest on two cores, each integrating a stack of integrands sharing their
 abscissae (the n-terms of a series, say) in one pass, and says in
 ``QuadResult.missed`` whether every row met its tolerance.  The Gauss core is
-``adaptive_gauss_rows``; every Gauss integral but the fixed 32-point mean of
-V in ``OperatorSpec``, the lambda tail of the operator zeta function
-included, goes through it.  The trapezoid core is ``trapezoid_rows``, the
-nested trapezoid rule that halves its step and stops each row on its own
-change: tanh-sinh is that rule after the double-exponential map
-(``tanh_sinh_rows``), and ``specialfn.scaled_bessel_k`` is that rule on
-K_nu's integral.  A stacked integrand f(x, rows) returns the rows asked for
-(an index array) as stacked rows, shape (len(rows), len(x)); every row meets
-its own tolerance, and no call of f sees more than CHUNK rows x abscissae.
+``adaptive_gauss_rows``; every adaptive Gauss integral, the lambda tail of the
+operator zeta function included, goes through it, and ``gauss_panel`` is the
+one fixed rule (the 32-point mean of V in ``OperatorSpec``).  The trapezoid
+core is ``trapezoid_rows``, the nested trapezoid rule that halves its step
+and stops each row on its own change: tanh-sinh is that rule after the
+double-exponential map (``tanh_sinh_rows``), and ``specialfn.scaled_bessel_k``
+is that rule on K_nu's integral.  A stacked integrand f(x, rows) returns the
+rows asked for (an index array) as stacked rows, shape (len(rows), len(x));
+every row meets its own tolerance, and no call of f sees more than CHUNK rows
+x abscissae.
 The public functions are their one-row cases.
 
 Every numerical derivative and limit goes through ``taylor``: the Taylor
@@ -109,7 +110,7 @@ def gauss_panel(f: Integrand, a: float, b: float, n: int = 31) -> complex:
     """Fixed n-point Gauss-Legendre estimate of int_a^b f."""
     x, w = _leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * complex(np.sum(w * f(mid + half * x)))
+    return half * complex(w @ f(mid + half * x))
 
 
 def _pieces(f: RowIntegrand, x: np.ndarray, rows: np.ndarray):

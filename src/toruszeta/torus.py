@@ -80,6 +80,16 @@ def _check_not_pole(s: complex) -> complex:
     return s
 
 
+def _tau2_power(t: TauPoint, p: complex, s: complex) -> complex:
+    """tau2^p, a power of E*(s, t)'s head or direct sum, refused by name where
+    it passes the largest double (at a huge reduced tau2)."""
+    try:
+        return t.tau2**p
+    except OverflowError:  # Python's "complex exponentiation"
+        raise NonFiniteError(f"E*: tau2^{p} overflows double precision at s = {s}, "
+                             f"tau2 = {t.tau2}") from None
+
+
 # ----------------------------------------------------------------- direct sum
 
 
@@ -134,6 +144,7 @@ def _direct_unreduced(s: complex, t: TauPoint, prec: Precision) -> EvalResult:
     s = _check_not_pole(s)
     if not s.real > 1.0:
         raise DomainError("the direct lattice sum requires Re s > 1")
+    tau2_s = _tau2_power(t, s, s)  # refused before the ladder, not after it
 
     def fit(points: list[tuple[int, complex]]) -> tuple[complex, float]:
         """E = sum_i w_i S_i through every point, and its rounding sum |w| max |S| u.
@@ -177,7 +188,6 @@ def _direct_unreduced(s: complex, t: TauPoint, prec: Precision) -> EvalResult:
             warn_truncation(stopped)
             break
         k = min(2 * k, prec.n_max)
-    tau2_s = t.tau2**s
     value = tau2_s * full
     err = abs(tau2_s) * (abs(full - check) + rounding)
     return EvalResult(value, err, "direct", diag)
@@ -201,7 +211,7 @@ def _cs_main_terms(s: complex, t: TauPoint) -> complex:
     if abs(s - 0.5) < _HALF_WINDOW:
         coeffs = taylor(lambda zs: [_cs_main_terms(z, t) for z in zs.tolist()], 0.5, 0.1, 24)
         return complex(np.polynomial.polynomial.polyval(s - 0.5, coeffs))
-    term1 = 2.0 * t.tau2**s * riemann_zeta(2.0 * s)
+    term1 = 2.0 * _tau2_power(t, s, s) * riemann_zeta(2.0 * s)
     rg = rgamma(s)
     if rg == 0:
         return term1
@@ -215,7 +225,7 @@ def _cs_main_terms(s: complex, t: TauPoint) -> complex:
             * riemann_zeta(2.0 - 2.0 * s)
             / gamma(1.5 - s)
         )
-    term2 = 2.0 * math.pi * t.tau2 ** (1.0 - s) * pair * rg / math.sqrt(math.pi)
+    term2 = 2.0 * math.pi * _tau2_power(t, 1.0 - s, s) * pair * rg / math.sqrt(math.pi)
     return term1 + term2
 
 

@@ -290,6 +290,20 @@ def test_det_operator_too_deep_potential_usage(capsys, potential):
     assert "nests deeper than" in err
 
 
+@pytest.mark.parametrize("potential, error", [
+    ("sin(1e400)", "DomainError"),  # sin(inf): ValueError "math domain error"
+    ("cos(1e400*x)", "DomainError"),
+    ("exp(x*1000)", "DomainError"),  # OverflowError "math range error"
+    ("1e6", "NonFiniteError"),  # u(1) = sinh(1000)/1000
+])
+def test_det_operator_refuses_a_faulty_potential_by_name(capsys, potential, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow at 1e6
+        code, out, _ = run(capsys, "det", "operator", "--potential", potential)
+    assert code == EXIT_DOMAIN
+    assert json.loads(out)["error"]["type"] == error
+
+
 # ------------------------------------------------------------- identities
 
 
@@ -353,6 +367,30 @@ def test_table_fills_every_cell_next_to_half(capsys):
     assert len(rows) == 7
     assert all(cell for row in rows for cell in row)
     assert all(abs(float(row[4]) - float(row[5])) < 1e-13 for row in rows)
+
+
+# at tau = 1e300i tau2^s and tau2^(1 - s) pass the largest double: eval
+# refuses by name and table leaves the cells empty.  K_nu's trapezoid hits its
+# cap there first (the remainder is summed before the head), hence the filter
+@pytest.mark.parametrize("method", ["cs", "direct"])
+def test_eval_refuses_a_huge_tau2_by_name(capsys, method):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        code, out, _ = run(capsys, "eval", "--what", "eisenstein", "--method", method,
+                           "--s", "2", "--tau", "1e300i")
+    assert code == EXIT_DOMAIN
+    error = json.loads(out)["error"]
+    assert error["type"] == "NonFiniteError"
+    assert error["message"].startswith("E*: tau2^(2+0j) overflows double precision at s = (2+0j)")
+
+
+def test_table_leaves_cells_empty_at_a_huge_tau2(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        code, out, _ = run(capsys, "table", "--s-grid", "2:3:1", "--tau", "1e300i",
+                           "--columns", "cs,direct")
+    assert code == EXIT_OK
+    assert out.strip().splitlines()[1:] == ["0.0,1e+300,2.0,0.0,,", "0.0,1e+300,3.0,0.0,,"]
 
 
 def test_table_empty_grid_header_only(capsys):

@@ -151,6 +151,14 @@ def test_transfer_fits_step_count_to_largest_t(monkeypatch, t):
     assert abs(u[0] - ref[0]) < 1e-13 * scale
 
 
+def test_transfer_at_a_large_lambda_counts_terms_without_factorials():
+    # at lambda = 1e6 the first fit (16 steps) needs Magnus Taylor terms past
+    # 1/170!, where math.factorial's integer no longer converts to a float
+    u, _ = transfer(free_spec(), [-1e6])
+    exact = math.sin(1000.0) / 1000.0
+    assert abs(u[0] - exact) < 1e-12 * abs(exact)
+
+
 def test_transfer_empty_ts():
     for ts in (np.array([]), np.array([], complex)):
         u, w = transfer(free_spec(), ts)
@@ -274,8 +282,20 @@ def test_operator_spec_mean_of_potential(v, mean):
 
 
 def test_operator_spec_rejects_nonfinite_potential():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^potential must be finite on \[0, 1\]$"):
         OperatorSpec(lambda x: math.inf if x > 0.5 else 0.0, "bad")
+    # a fault V raises itself: sin(inf), an overflowing exp, 1/x at 0
+    for v, cause in [(lambda x: math.sin(math.inf * x), "ValueError"),
+                     (lambda x: math.exp(1000.0 * x), "OverflowError"),
+                     (lambda x: 1.0 / x, "ZeroDivisionError")]:
+        with pytest.raises(DomainError, match=rf"^potential must be finite on \[0, 1\]: V raised {cause}"):
+            OperatorSpec(v)
+
+
+def test_operator_spec_passes_python_floats():
+    seen = set()
+    OperatorSpec(lambda x: seen.add(type(x)) or 0.0)
+    assert seen == {float}
 
 
 # --------------------------------------------------------------- zeta values

@@ -3,8 +3,10 @@ import operator
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from toruszeta.errors import DomainError
+from toruszeta.operator1d import OperatorSpec
 from toruszeta.potentials import MAX_DEPTH, PotentialParseError, parse_potential
 
 
@@ -76,11 +78,11 @@ _NEGATE = st.sampled_from(["-", "+-", "-+", "---", "+-+-+-"])  # an odd count of
 _KEEP = st.sampled_from(["", "", "+", "--", "-+-", "+--+"])  # an even count
 
 
-def _trees(depth):
-    leaf = st.sampled_from(["x", *_NUMBERS])
+def _trees(depth, numbers=tuple(_NUMBERS)):
+    leaf = st.sampled_from(["x", *numbers])
     if not depth:
         return leaf
-    sub = _trees(depth - 1)
+    sub = _trees(depth - 1, numbers)
     return st.one_of(leaf, st.tuples(st.sampled_from(sorted(_BINARY)), sub, sub),
                      st.tuples(st.sampled_from(sorted(_UNARY)), sub))
 
@@ -128,8 +130,8 @@ def _outcome(f, x):
 
 
 @st.composite
-def _potentials(draw):
-    tree = draw(_trees(5))
+def _potentials(draw, numbers=tuple(_NUMBERS)):
+    tree = draw(_trees(5, numbers))
     return tree, draw(_SPACE) + _render(draw, tree, 0) + draw(_SPACE)
 
 
@@ -140,3 +142,21 @@ def test_parse_matches_the_tree_bit_for_bit(drawn):
     f = parse_potential(text)
     for x in (0.0, 0.37, 1.0):
         assert _outcome(f, x) == _outcome(lambda x: _evaluate(tree, x), x), text
+
+
+# Huge constants make huge sin, cos and exp arguments: sin(inf) and exp(1000)
+# raise in V itself, 1/x at x = 0 divides by zero, 1e300*1e300 is inf
+_HUGE = ("1e6", "1000", "710", "1e300", "1.7e308")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_potentials(tuple(_NUMBERS) + _HUGE))
+@example((None, "sin(1e400)"))
+@example((None, "cos(1e400*x)"))
+@example((None, "exp(x*1000)"))
+def test_operator_spec_builds_or_raises_domain_error(drawn):
+    _, text = drawn
+    try:
+        OperatorSpec(parse_potential(text))
+    except DomainError as exc:
+        assert str(exc).startswith("potential must be finite on [0, 1]"), text
