@@ -248,7 +248,7 @@ def _suite_text(report: SuiteReport) -> str:
 
 def cmd_identities(args: argparse.Namespace) -> int:
     prec = _precision_from(args)
-    report = run_suite(prec, filter_pattern=args.filter, tol_override=args.tol_override)
+    report = run_suite(prec, filter_pattern=args.filter)
     if args.format == "json":
         _emit(args, _suite_json(report))
     elif args.format == "csv":
@@ -396,8 +396,6 @@ def build_parser() -> _Parser:
     p_id = sub.add_parser("identities", help="run the identity suite")
     p_id.add_argument("--filter", default=None, help="substring filter on identity ids")
     p_id.add_argument("--format", default="text", choices=["text", "json", "csv"])
-    p_id.add_argument("--tol-override", type=float, default=None,
-                      help="replace every entry tolerance (0 forces failures)")
     _add_precision_flags(p_id)
     p_id.set_defaults(fn=cmd_identities)
 

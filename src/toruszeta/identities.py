@@ -490,7 +490,6 @@ def registry() -> list[IdentityCheck]:
 def run_suite(
     prec: Precision = DEFAULT_PRECISION,
     filter_pattern: str | None = None,
-    tol_override: float | None = None,
 ) -> SuiteReport:
     """Run (a filtered subset of) the registry and report lhs/rhs/residual per
     identity, in registry order (sorted by id)."""
@@ -507,10 +506,9 @@ def run_suite(
         residual = abs(lhs - rhs)
         if check.relative:
             residual /= max(abs(rhs), 1e-300)
-        tol = check.tolerance if tol_override is None else tol_override
         return SuiteEntry(
-            check.check_id, check.statement, lhs, rhs, residual, tol,
-            bool(residual <= tol), elapsed,
+            check.check_id, check.statement, lhs, rhs, residual, check.tolerance,
+            bool(residual <= check.tolerance), elapsed,
         )
 
     return SuiteReport([run_one(c) for c in checks])

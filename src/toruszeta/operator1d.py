@@ -84,7 +84,6 @@ class OperatorSpec:
 _GAUSS3 = math.sqrt(15.0) / 10.0  # the outer 3-point Gauss nodes sit at 1/2 -+ this
 _CHUNK = 2**12  # t values x steps propagated at once; keeps the peak memory flat
 _TAIL_CUT = 400.0  # upper end of the numerically integrated lambda range
-_PROBES = np.array([0.0, _TAIL_CUT])  # where the step count is fitted
 # 1/j! for j <= 170, then 0.0 for 171: 171! passes the largest double
 _INV_FACTORIAL = [1.0 / math.factorial(j) for j in range(171)] + [0.0]
 _MAX_TERMS = 85  # the last term of C has 1/170!, of S 1/171! = 0.0
@@ -162,14 +161,20 @@ def _propagate(steps: tuple[np.ndarray, ...], ts: np.ndarray) -> tuple[np.ndarra
 
 
 def _propagator(
-    spec: OperatorSpec, prec: Precision, diag: Diagnostics, probes: np.ndarray = _PROBES
+    spec: OperatorSpec, prec: Precision, diag: Diagnostics, far: complex
 ) -> Callable[[np.ndarray], tuple[np.ndarray, ...]]:
-    """ts -> _propagate(steps, ts) with V sampled once.  The step count doubles
-    from 16 until u(1) at n and 2n steps agree, at each t of probes, to the
-    quadrature tolerance relative to |u| + |u'|/sqrt(1 + |t|), which stays
-    finite at a zero mode; n stops at prec.n_max, which warns and notes it in diag."""
+    """ts -> _propagate(steps, ts) with V sampled once, for |t| up to |far|.  The
+    step count n starts at the smallest power of two >= 16 with n^2 >= |far|/4
+    (16 for every |far| <= 1024) and doubles until u(1) at n and 2n steps agree,
+    at t = 0, _TAIL_CUT and far beyond it, to the quadrature tolerance relative
+    to |u| + |u'|/sqrt(1 + |t|), which stays finite at a zero mode; n stops at
+    prec.n_max, which warns and notes it in diag."""
     tol = max(1e-13, 0.1 * prec.quad_rel_tol)
-    n = min(16, 1 << (prec.n_max.bit_length() - 1))
+    probes = np.array([0.0, _TAIL_CUT, far] if abs(far) > _TAIL_CUT else [0.0, _TAIL_CUT])
+    cap = 1 << (prec.n_max.bit_length() - 1)  # the largest power of two <= n_max
+    n = min(16, cap)
+    while 4 * n * n < abs(far) and 2 * n <= cap:
+        n *= 2
     steps = _magnus_steps(spec.potential, n)
     u = _propagate(steps, probes)[0]
     if not np.all(np.isfinite(u)):
@@ -201,12 +206,10 @@ def transfer(
     of ts, where u'' = (V + t) u, u(0) = 0, u'(0) = 1: lambda = -t.
 
     Real ts run in float arithmetic, complex ts in complex.  The step count is
-    fitted at t = 0 and t = _TAIL_CUT, the range zeta_operator uses, and also
-    at the t of largest modulus when that lies beyond _TAIL_CUT."""
+    fitted by _propagator to the t of largest modulus."""
     ts = np.asarray(ts, dtype=complex if np.iscomplexobj(ts) else float).ravel()
     far = ts[np.argmax(np.abs(ts))] if ts.size else 0.0
-    probes = np.append(_PROBES, far) if abs(far) > _TAIL_CUT else _PROBES
-    u, _, w = _propagator(spec, prec, Diagnostics(), probes)(ts)
+    u, _, w = _propagator(spec, prec, Diagnostics(), far)(ts)
     return u, w
 
 
@@ -243,7 +246,7 @@ def _zeta_rows(
     are stacked rows sharing the s-free part of each node's value.  diag, if
     given, gains the evaluations spent and a Magnus cap hit or quadrature miss."""
     diag = diag if diag is not None else Diagnostics()
-    propagate = _propagator(spec, prec, diag)
+    propagate = _propagator(spec, prec, diag, _TAIL_CUT)
     u0 = float(propagate(np.zeros(1))[0][0])
     # g(1) - g(0) - h(1), where h(1) = g(1) + log 2 - 1
     constant = 1.0 - _checked_log_det(u0)

@@ -110,7 +110,7 @@ def gauss_panel(f: Integrand, a: float, b: float, n: int = 31) -> complex:
     """Fixed n-point Gauss-Legendre estimate of int_a^b f."""
     x, w = _leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * complex(w @ f(mid + half * x))
+    return complex((half * w) @ f(mid + half * x))
 
 
 def _pieces(f: RowIntegrand, x: np.ndarray, rows: np.ndarray):

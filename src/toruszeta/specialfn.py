@@ -214,7 +214,7 @@ def scaled_bessel_k(nu: complex, xs: np.ndarray, rel_tol: float) -> QuadResult:
     which is manifestly even in nu.  The e^x rescaling keeps the integrand
     O(1) so each row is accurate relative to K's own (tiny) scale.  All rows
     share the range [0, w_max] of the smallest x, past which its integrand
-    is below e^(-45); the larger x decay sooner.
+    is below e^(-45), found upward from below; the larger x decay sooner.
 
     The integrand is even in w, analytic in a strip about the real axis and
     decays doubly exponentially, so the trapezoid rule converges
@@ -227,11 +227,18 @@ def scaled_bessel_k(nu: complex, xs: np.ndarray, rel_tol: float) -> QuadResult:
     xs = np.asarray(xs, dtype=float)
     x = float(np.min(xs))
     a = abs(complex(nu).real)
-    # find w_max with x(cosh w - 1) - a*w > ~45
-    w_max = 1.0
+    # find w_max with x(cosh w - 1) - a*w > ~45, iterating upward to the fixed
+    # point from w = 1; where the first round goes down (the fixed point lies
+    # below 1, x above about 85), from w = 0 in the form 2x sinh(w/2)^2 of
+    # x(cosh w - 1), which keeps a tiny w accurate
+    def root(w: float, small: bool) -> float:
+        need = 45.0 + a * w + math.log1p(w)
+        return 2.0 * math.asinh(math.sqrt(0.5 * need / x)) if small else math.acosh(need / x + 1.0)
+
+    small = root(1.0, False) <= 1.0
+    w_max = 0.0 if small else 1.0
     for _ in range(40):
-        need = (45.0 + a * w_max + math.log1p(w_max)) / x + 1.0
-        new = math.acosh(max(need, 1.0 + 1e-12))
+        new = root(w_max, small)
         if new <= w_max:
             break
         w_max = new

@@ -80,13 +80,13 @@ def _check_not_pole(s: complex) -> complex:
     return s
 
 
-def _tau2_power(t: TauPoint, p: complex, s: complex) -> complex:
-    """tau2^p, a power of E*(s, t)'s head or direct sum, refused by name where
-    it passes the largest double (at a huge reduced tau2)."""
+def _tau2_power(t: TauPoint, p: complex, s: complex, name: str) -> complex:
+    """tau2^p, a power in the quantity name at s, refused by that name where it
+    passes the largest double (at a huge reduced tau2, or a tiny unreduced one)."""
     try:
         return t.tau2**p
     except OverflowError:  # Python's "complex exponentiation"
-        raise NonFiniteError(f"E*: tau2^{p} overflows double precision at s = {s}, "
+        raise NonFiniteError(f"{name}: tau2^{p} overflows double precision at s = {s}, "
                              f"tau2 = {t.tau2}") from None
 
 
@@ -144,7 +144,7 @@ def _direct_unreduced(s: complex, t: TauPoint, prec: Precision) -> EvalResult:
     s = _check_not_pole(s)
     if not s.real > 1.0:
         raise DomainError("the direct lattice sum requires Re s > 1")
-    tau2_s = _tau2_power(t, s, s)  # refused before the ladder, not after it
+    tau2_s = _tau2_power(t, s, s, "E*")  # refused before the ladder, not after it
 
     def fit(points: list[tuple[int, complex]]) -> tuple[complex, float]:
         """E = sum_i w_i S_i through every point, and its rounding sum |w| max |S| u.
@@ -211,7 +211,7 @@ def _cs_main_terms(s: complex, t: TauPoint) -> complex:
     if abs(s - 0.5) < _HALF_WINDOW:
         coeffs = taylor(lambda zs: [_cs_main_terms(z, t) for z in zs.tolist()], 0.5, 0.1, 24)
         return complex(np.polynomial.polynomial.polyval(s - 0.5, coeffs))
-    term1 = 2.0 * _tau2_power(t, s, s) * riemann_zeta(2.0 * s)
+    term1 = 2.0 * _tau2_power(t, s, s, "E*") * riemann_zeta(2.0 * s)
     rg = rgamma(s)
     if rg == 0:
         return term1
@@ -225,7 +225,7 @@ def _cs_main_terms(s: complex, t: TauPoint) -> complex:
             * riemann_zeta(2.0 - 2.0 * s)
             / gamma(1.5 - s)
         )
-    term2 = 2.0 * math.pi * _tau2_power(t, 1.0 - s, s) * pair * rg / math.sqrt(math.pi)
+    term2 = 2.0 * math.pi * _tau2_power(t, 1.0 - s, s, "E*") * pair * rg / math.sqrt(math.pi)
     return term1 + term2
 
 
@@ -328,11 +328,7 @@ def remainder_integral(
     sp = sinpi(s)
     if sp == 0:  # Q = 0 before tau2^s, which can overflow at an unreduced tau
         return 0.0 + 0.0j
-    try:
-        pref = 2.0 * t.tau2**s * sp / math.pi
-    except OverflowError:  # tau2^s, before sum_series could see the prefactor
-        raise NonFiniteError(f"remainder_integral: prefactor 2 tau2^s sin(pi s)/pi overflows "
-                             f"double precision at s = {s}, tau2 = {t.tau2}") from None
+    pref = 2.0 * _tau2_power(t, s, s, "remainder_integral prefactor") * sp / math.pi
     return _contour_series(s, t, prec, pref, diag)
 
 
@@ -462,18 +458,9 @@ def pole_residue(tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION) -
     )[0])
 
 
-class KroneckerLimit(NamedTuple):
-    limit_estimate: float  # lim_{s->1} (E*(s,tau) - pi/(s-1)): the head's constant plus Q(1, tau)
-    closed_form: float     # 2 pi (gamma - log 2 - log(tau2^(1/2) |eta|^2))
-
-    @property
-    def residual(self) -> float:
-        return abs(self.limit_estimate - self.closed_form)
-
-
 def kronecker_constant(
     tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION
-) -> KroneckerLimit:
+) -> PairedValue:
     """Constant term of E*(s, tau) at s = 1, taking no limit: at z = tau reduced,
     the head's Laurent constant pi^2 z2/3 + 2 pi (gamma - log 2 - (1/2) log z2)
     (psi(1/2) = -gamma - 2 log 2) plus Q(1, z); and in closed form through eta."""
@@ -484,7 +471,7 @@ def kronecker_constant(
     closed = 2.0 * math.pi * (
         EULER_GAMMA - math.log(2.0) - 0.5 * math.log(t.tau2) - 2.0 * log_abs_eta(t, prec)
     )
-    return KroneckerLimit(limit, closed)
+    return PairedValue(limit, closed)
 
 
 # ------------------------------------------------------- functional equations

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from toruszeta import identities
 from toruszeta.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -313,10 +315,11 @@ def test_identities_filter_passes(capsys):
     assert "0 failed" in out
 
 
-def test_identities_zero_tolerance_fails(capsys):
-    code, out, _ = run(
-        capsys, "identities", "--filter", "kronecker", "--tol-override", "0",
-    )
+def test_identities_zero_tolerance_fails(capsys, monkeypatch):
+    # every check asks for a zero residual; the Kronecker ones miss it
+    checks = [dataclasses.replace(c, tolerance=0.0) for c in identities.registry()]
+    monkeypatch.setattr(identities, "registry", lambda: checks)
+    code, out, _ = run(capsys, "identities", "--filter", "kronecker")
     assert code == EXIT_SUITE_FAILED
     assert "FAIL" in out
 
@@ -370,12 +373,12 @@ def test_table_fills_every_cell_next_to_half(capsys):
 
 
 # at tau = 1e300i tau2^s and tau2^(1 - s) pass the largest double: eval
-# refuses by name and table leaves the cells empty.  K_nu's trapezoid hits its
-# cap there first (the remainder is summed before the head), hence the filter
+# refuses by name and table leaves the cells empty.  The remainder is summed
+# before the head; its K_nu rows at x of 6e300 must not hit their cap
 @pytest.mark.parametrize("method", ["cs", "direct"])
 def test_eval_refuses_a_huge_tau2_by_name(capsys, method):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
+        warnings.simplefilter("error", TruncationWarning)
         code, out, _ = run(capsys, "eval", "--what", "eisenstein", "--method", method,
                            "--s", "2", "--tau", "1e300i")
     assert code == EXIT_DOMAIN
@@ -386,7 +389,7 @@ def test_eval_refuses_a_huge_tau2_by_name(capsys, method):
 
 def test_table_leaves_cells_empty_at_a_huge_tau2(capsys):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
+        warnings.simplefilter("error", TruncationWarning)
         code, out, _ = run(capsys, "table", "--s-grid", "2:3:1", "--tau", "1e300i",
                            "--columns", "cs,direct")
     assert code == EXIT_OK

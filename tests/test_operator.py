@@ -152,11 +152,24 @@ def test_transfer_fits_step_count_to_largest_t(monkeypatch, t):
 
 
 def test_transfer_at_a_large_lambda_counts_terms_without_factorials():
-    # at lambda = 1e6 the first fit (16 steps) needs Magnus Taylor terms past
-    # 1/170!, where math.factorial's integer no longer converts to a float
+    # at lambda = 1e6, 16 steps (as under a small n_max) need Magnus Taylor
+    # terms past 1/170!, where math.factorial's integer no longer converts to
+    # a float; the fit itself starts at 512 steps, |t| h^2 below 4
+    steps = operator1d._magnus_steps(lambda x: 0.0, 16)
+    assert np.all(np.isfinite(operator1d._propagate(steps, np.array([-1e6]))[0]))
     u, _ = transfer(free_spec(), [-1e6])
     exact = math.sin(1000.0) / 1000.0
     assert abs(u[0] - exact) < 1e-12 * abs(exact)
+
+
+def test_transfer_starts_its_fit_at_the_largest_t():
+    # at lambda = 1e7, 16 steps overflow u(1) (|t| h^2 = 39,000); the fit
+    # starts at 2048 steps instead, and numpy warns nothing on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, _ = transfer(free_spec(), [-1e7])
+    exact = math.sin(math.sqrt(1e7)) / math.sqrt(1e7)
+    assert abs(u[0] - exact) <= 1e-12 * abs(exact)
 
 
 def test_transfer_empty_ts():

@@ -1,6 +1,7 @@
 import math
 import operator
 import struct
+import warnings
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -147,6 +148,15 @@ def test_parse_matches_the_tree_bit_for_bit(drawn):
 # Huge constants make huge sin, cos and exp arguments: sin(inf) and exp(1000)
 # raise in V itself, 1/x at x = 0 divides by zero, 1e300*1e300 is inf
 _HUGE = ("1e6", "1000", "710", "1e300", "1.7e308")
+
+
+def test_operator_spec_takes_the_mean_of_a_huge_potential():
+    # the Gauss weights are scaled to [0, 1] before the sum, so the mean of a
+    # V near the largest double does not overflow on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = OperatorSpec(parse_potential("1.7e308"))
+    assert spec._mean_v == pytest.approx(1.7e308, rel=1e-14)
 
 
 @settings(max_examples=300, deadline=None)

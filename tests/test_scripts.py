@@ -27,9 +27,3 @@ def test_determinant_scan_matches_the_closed_form():
     assert len(rows) == 13
     assert max(float(row["rel_diff"]) for row in rows) <= 1e-13
 
-
-def test_run_identities_csv_passes():
-    proc = run_script("run_identities.py", "--format", "csv")
-    assert proc.returncode == 0, proc.stderr
-    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
-    assert rows and all(row["pass"] == "true" for row in rows)

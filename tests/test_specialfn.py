@@ -423,6 +423,22 @@ def test_scaled_bessel_k_counts_the_nodes_its_integrand_received(monkeypatch):
     assert res.n_evals == sum(seen) > xs.size * 65
 
 
+# the range [0, w_max] of a large x lies below w = 1: the search for w_max
+# starts below its fixed point there, where starting from 1 kept w_max = 1 and
+# needed 4,097 evaluations at x = 1e6 and the cap (3e5 relative off) at 6.3e20
+@pytest.mark.parametrize("x", [1e3, 1e6, 6.3e20, 6.3e300])
+@pytest.mark.parametrize("nu", [-1.5, 0.5 - 0.3j])
+def test_scaled_bessel_k_at_a_large_x(nu, x):
+    mp = pytest.importorskip("mpmath")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = scaled_bessel_k(nu, np.array([x]), 1e-12)
+    with mp.workdps(30):
+        ref = complex(mp.besselk(mp.mpc(nu), x) * mp.exp(x))
+    assert res.n_evals <= 65
+    assert abs(res.value[0] - ref) <= 1e-14 * abs(ref)
+
+
 def test_bessel_domain():
     with pytest.raises(DomainError):
         bessel_k(0.5, 0.0)
