@@ -165,8 +165,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         s = parse_complex(args.s)
         result["s"] = _cnum(s)
         result["value"] = _cnum(zeta_p(s))
-    else:
-        raise UsageError(f"unknown --what {what!r}")
 
     _emit(args, _json(result))
     return EXIT_OK

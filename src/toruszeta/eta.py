@@ -3,12 +3,13 @@ under the full modular group, with the multiplier system built from
 Dedekind sums, plus log|eta|, which needs no multiplier.
 
 The q-product eta(tau) = e^(i pi tau/12) prod_{n>=1} (1 - e^(2 pi i n tau))
-converges at rate e^(-2 pi tau2); its log, i pi tau/12 + sum log1p(-q^n), is
-summed by the package's one series driver, ``quadrature.sum_series``, with
-its stopping rule and its n_max warning.  Every point is first moved into the
-fundamental domain (tau2 >= sqrt(3)/2, so |q| <= 4.3e-3) with shift/inversion
-moves, the same reduction the E* routes of ``torus`` use.  ``eta`` applies the
-transformation law backwards; ``log_abs_eta`` needs only |c tau + d|.
+converges at rate e^(-2 pi tau2); its log, i pi tau/12 - sum sigma_(-1)(n) q^n,
+takes the package's one Lambert series, ``specialfn.lambert_series`` at
+alpha = -1, with its stopping rule and its n_max warning.  Every point is
+first moved into the fundamental domain (tau2 >= sqrt(3)/2, so |q| <= 4.3e-3)
+with shift/inversion moves, the same reduction the E* routes of ``torus`` use.
+``eta`` applies the transformation law backwards; ``log_abs_eta`` needs only
+|c tau + d|.
 """
 
 from __future__ import annotations
@@ -16,24 +17,15 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 from .domain import DEFAULT_PRECISION, Precision, Sl2zMatrix, TauPoint, as_tau
-from .quadrature import sum_series
-from .specialfn import dedekind_sum_exact
+from .specialfn import dedekind_sum_exact, lambert_series
 
 
 def _log_eta_product(tau: TauPoint, prec: Precision) -> complex:
-    """i pi tau/12 + sum_{n>=1} log1p(-q^n), q = e^(2 pi i tau), a log of
-    eta(tau), with the log-factors summed by the series driver."""
+    """i pi tau/12 - sum_{n>=1} q^n / (n (1 - q^n)), q = e^(2 pi i tau), a log of
+    eta(tau): the Lambert series at alpha = -1 is -sum log(1 - q^n)."""
     z = tau.z
-
-    def block(ns: np.ndarray) -> tuple[np.ndarray, int, str]:
-        return np.log1p(-np.exp(2j * math.pi * z * ns)), 0, ""
-
-    ratio = math.exp(-2.0 * math.pi * tau.tau2)
-    log_prod = sum_series(block, 1.0, ratio, prec, "eta product", None)
-    return 1j * math.pi * z / 12.0 + log_prod
+    return 1j * math.pi * z / 12.0 - lambert_series(-1.0, cmath.exp(2j * math.pi * z), prec)
 
 
 def fundamental_domain_reduce(tau: TauPoint | complex) -> tuple[TauPoint, Sl2zMatrix]:

@@ -29,8 +29,8 @@ from .operator1d import (
 from .quadrature import taylor
 from .specialfn import bessel_k, gamma, lambert_series, riemann_zeta, sigma, sinpi
 from .torus import (
-    _cs_unreduced,
     _direct_unreduced,
+    _head_plus,
     determinant_torus,
     determinant_torus_numeric,
     eisenstein_cs,
@@ -182,7 +182,7 @@ def registry() -> list[IdentityCheck]:
             "E*(s, m tau) = E*(s, tau) for m in SL(2, Z) (Bessel series, s = 0.4)",
             1e-9, False,
             lambda prec, m=mat: (
-                _cs_unreduced(0.4, m.apply(0.3 + 0.9j), prec).value,
+                _head_plus("chowla_selberg", 0.4, m.apply(0.3 + 0.9j), prec).value,
                 eisenstein_cs(0.4, 0.3 + 0.9j, prec).value,
             ),
         ))
@@ -218,7 +218,7 @@ def registry() -> list[IdentityCheck]:
             f"kronecker.limit.tau={_fmt(tau)}",
             "lim (E* - pi/(s-1)) = 2 pi (gamma - log 2 - log(sqrt(tau2) |eta|^2))",
             1e-13, False,
-            lambda prec, t=tau: tuple(map(complex, kronecker_constant(t, prec))),
+            lambda prec, t=tau: kronecker_constant(t, prec),
         ))
 
     # --- functional equations --------------------------------------------------------
@@ -259,7 +259,7 @@ def registry() -> list[IdentityCheck]:
             f"nyw.closed_form.tau={_fmt(tau)}",
             "divisor Bessel sum = -(tau2^(-1/2)/2) log|eta| - sqrt(tau2) pi/24",
             1e-10, False,
-            lambda prec, t=tau: tuple(map(complex, nan_yue_williams_sum(t, prec))),
+            lambda prec, t=tau: nan_yue_williams_sum(t, prec),
         ))
     add(IdentityCheck(
         "lambert.q1.constant.tau=i",
@@ -281,7 +281,7 @@ def registry() -> list[IdentityCheck]:
             f"lambert.q1.closed_form.tau={_fmt(tau)}",
             "divisor Bessel sum at s = 1 equals its elementary closed form",
             1e-10, False,
-            lambda prec, t=tau: tuple(map(complex, lambert_q1(t, prec))),
+            lambda prec, t=tau: lambert_q1(t, prec),
         ))
     add(IdentityCheck(
         "lambert.series.alpha=-1",

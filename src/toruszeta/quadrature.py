@@ -32,9 +32,9 @@ geometrically in the number of points (Trefethen & Weideman, SIAM Rev. 56
 work they share (the operator zeta function's propagator) is done once.
 
 Every q-expansion (terms decaying like |q|^n) goes through the one series
-driver ``sum_series`` (the three remainders, the eta product, the Lambert series
-and the s = 1 closed form), with one stopping rule, one n_max warning, one
-record of a quadrature miss and one refusal of a non-finite prefactor or sum.
+driver ``sum_series`` (the three remainders and the Lambert series, which gives
+log eta and the s = 1 closed form), with one stopping rule, one n_max warning,
+one record of a quadrature miss and one refusal of a non-finite prefactor or sum.
 
 Integrands of the public functions take a numpy array of abscissae and
 return an array of the same length (real or complex).  All reductions run

@@ -27,6 +27,7 @@ closed form plus a remainder, the contour rows at s = 0 or Q(1, tau).
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Callable, NamedTuple
 
@@ -53,7 +54,7 @@ from .quadrature import (
 # bessel_k is not called here; benchmarks/test_benchmark.py checks that the
 # tracer wraps this binding
 from .specialfn import bessel_k  # noqa: F401
-from .specialfn import _POLE_TOL, cpow, gamma, rgamma, riemann_zeta
+from .specialfn import _POLE_TOL, cpow, gamma, lambert_series, rgamma, riemann_zeta
 from .specialfn import scaled_bessel_k, sigma, sinpi
 
 EULER_GAMMA = 0.5772156649015328606
@@ -369,11 +370,6 @@ def _head_plus(method: str, s: complex, t: TauPoint, prec: Precision) -> EvalRes
     return EvalResult(value, 1e-13 * max(1.0, abs(value)), method, diag)
 
 
-def _cs_unreduced(s: complex, t: TauPoint, prec: Precision) -> EvalResult:
-    """eisenstein_cs at t as given."""
-    return _head_plus("chowla_selberg", s, t, prec)
-
-
 def eisenstein_cs(
     s: complex, tau: TauPoint | complex, prec: Precision = DEFAULT_PRECISION
 ) -> EvalResult:
@@ -533,26 +529,12 @@ def lambert_q1(
 ) -> PairedValue:
     """The remainder series at s = 1,
     sum_{n>=1} sigma_(-1)(n) cos(2 pi n tau1) K_(-1/2)(2 pi n tau2) n^(1/2),
-    paired with its elementary closed form
-    -(tau2^(-1/2)/4) sum (1/n) (1 - 2 e^(2 pi i n tau) + e^(2 pi i n (tau+conj tau)))
-                               / ((e^(2 pi i n tau)-1)(e^(2 pi i n conj tau)-1)).
-    The closed-form term is evaluated after dividing through by
-    e^(2 pi i n conj(tau)) so that every exponential decays."""
+    paired with its closed form (tau2^(-1/2)/2) Re sum q^n / (n (1 - q^n)),
+    q = e^(2 pi i tau): the Lambert series at alpha = -1."""
     t = as_tau(tau)
     series = _divisor_bessel_series(1.0, t, prec).real
-    z = t.z
-
-    def block(ns: np.ndarray) -> tuple[np.ndarray, int, str]:
-        e_tau = np.exp(2j * math.pi * z * ns)  # decays
-        e_conj_neg = np.exp(-2j * math.pi * z.conjugate() * ns)  # decays
-        e_diff = np.exp(-4.0 * math.pi * t.tau2 * ns)  # e^(2 pi i n (tau - conj tau))
-        num = e_conj_neg - 2.0 * e_diff + e_tau
-        den = (e_tau - 1.0) * (1.0 - e_conj_neg)
-        return num / (den * ns), 0, ""
-
-    ratio = math.exp(-2.0 * math.pi * t.tau2)
-    closed_sum = sum_series(block, 1.0, ratio, prec, "lambert_q1 closed form", None)
-    closed = -0.25 * t.tau2**-0.5 * closed_sum.real
+    q = cmath.exp(2j * math.pi * t.z)
+    closed = 0.5 * t.tau2**-0.5 * lambert_series(-1.0, q, prec).real
     return PairedValue(series, closed)
 
 
@@ -641,7 +623,7 @@ def theta_mellin_check(
     t_hi = max(2.0, 50.0 * z.tau2 / math.pi)
     quad = adaptive_gauss(folded, 1.0, t_hi, rel_tol=tol, abs_tol=1e-16)
     mellin = 1.0 / (s - 1.0) - 1.0 / s + quad.value
-    completed = 0.5 * math.pi ** (-s) * gamma(s) * _cs_unreduced(s, z, prec).value
+    completed = 0.5 * math.pi ** (-s) * gamma(s) * _head_plus("chowla_selberg", s, z, prec).value
     return abs(completed - 0.5 * mellin)
 
 

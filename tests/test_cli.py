@@ -23,6 +23,7 @@ from toruszeta.cli import (
 )
 from toruszeta.cli import UsageError
 from toruszeta.errors import TruncationWarning
+from toruszeta.torus import determinant_torus, remainder_bessel, remainder_integral
 
 GOLDEN_ZETA_P_ZERO = """\
 {
@@ -138,6 +139,36 @@ def test_eval_missing_argument_is_usage_error(capsys):
     code, _, err = run(capsys, "eval", "--what", "eisenstein", "--s", "2")
     assert code == EXIT_USAGE
     assert "requires" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--what", "eta"], "--what eta requires --tau"),
+    (["eval", "--what", "zeta-p"], "--what zeta-p requires --s"),
+    (["eval", "--what", "remainder", "--method", "direct", "--s", "0.3", "--tau", "1i"],
+     "remainder method must be chowla_selberg or contour"),
+    (["det", "torus"], "det torus requires --tau"),
+    (["det", "operator"], "det operator requires --potential"),
+    (["table", "--tau-grid", "arc:x", "--columns", "det"], "tau grid must be arc:N"),
+    (["table", "--tau-grid", "disc:5", "--columns", "det"], "supported tau grid: arc:N"),
+])
+def test_usage_error_names_its_cause(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert message in err and out == ""
+
+
+@pytest.mark.parametrize("method, name, remainder", [
+    ("cs", "chowla_selberg", remainder_bessel),
+    ("contour", "contour", remainder_integral),
+])
+def test_eval_remainder_by_route(capsys, method, name, remainder):
+    code, out, _ = run(capsys, "eval", "--what", "remainder", "--method", method,
+                       "--s", "0.3+0.2i", "--tau", "0.2+1.1i")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    value = remainder(0.3 + 0.2j, 0.2 + 1.1j)
+    assert doc["method"] == name
+    assert doc["value"] == [value.real, value.imag]
 
 
 @pytest.mark.parametrize("argv", [
@@ -316,12 +347,13 @@ def test_identities_filter_passes(capsys):
 
 
 def test_identities_zero_tolerance_fails(capsys, monkeypatch):
-    # every check asks for a zero residual; the Kronecker ones miss it
+    # every check asks for a zero residual; the Eisenstein functional
+    # equations, whose residuals are all nonzero, miss it
     checks = [dataclasses.replace(c, tolerance=0.0) for c in identities.registry()]
     monkeypatch.setattr(identities, "registry", lambda: checks)
-    code, out, _ = run(capsys, "identities", "--filter", "kronecker")
+    code, out, _ = run(capsys, "identities", "--filter", "eisenstein.fe")
     assert code == EXIT_SUITE_FAILED
-    assert "FAIL" in out
+    assert out.count("FAIL") == 4
 
 
 def test_identities_csv(capsys):
@@ -424,6 +456,7 @@ def test_table_json_bytes_stable(capsys):
 
 @pytest.mark.parametrize("grid", [
     "0:1e9:1e-9", "-1e308:1e308:1", "nan:1:0.1", "0:inf:0.1", "0:1:nan", "0:1:inf",
+    "1:2", "a:b:c", "0:1:0",
 ])
 def test_table_huge_or_nonfinite_grid_usage_error(capsys, grid):
     # rejected from start, stop and step alone: not one grid point is built
@@ -436,6 +469,15 @@ def test_table_grid_point_cap():
     assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
     with pytest.raises(UsageError):
         _parse_grid(f"0:{MAX_GRID_POINTS}:1")
+
+
+def test_table_defaults_to_tau_i_and_no_s(capsys):
+    # with no --tau the row sits at tau = i; with no --s-grid the s cells and
+    # the s-dependent q column stay empty
+    code, out, _ = run(capsys, "table", "--columns", "q,det")
+    assert code == EXIT_OK
+    assert out.strip().splitlines() == [
+        "tau1,tau2,s_re,s_im,q,det", f"0.0,1.0,,,,{determinant_torus(1j)!r}"]
 
 
 def test_table_huge_tau_arc_usage_error(capsys):

@@ -31,6 +31,12 @@ def test_adaptive_gauss_needs_ordered_limits():
         adaptive_gauss(np.sin, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.5, 0.5)])
+def test_tanh_sinh_rows_needs_ordered_limits(a, b):
+    with pytest.raises(DomainError, match="^tanh_sinh requires b > a$"):
+        tanh_sinh_rows(singular_rows, a, b, 4)
+
+
 def test_gauss_panel_polynomial_exact():
     # GL(31) integrates degree-61 polynomials exactly
     val = gauss_panel(lambda x: x**7 - 3 * x**2 + 1, 0.0, 2.0, n=31)

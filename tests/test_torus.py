@@ -17,8 +17,8 @@ from toruszeta.torus import (
     METHODS,
     REMAINDERS,
     _contour_series,
-    _cs_unreduced,
     _direct_unreduced,
+    _head_plus,
     _square_sum_block,
     determinant_torus,
     determinant_torus_numeric,
@@ -602,7 +602,7 @@ def test_eisenstein_modular_invariance(word):
     a = _direct_unreduced(2.0, moved, DEFAULT_PRECISION).value
     b = eisenstein_direct(2.0, tau).value
     assert abs(a - b) < 1e-9
-    a = _cs_unreduced(0.4, moved, DEFAULT_PRECISION).value
+    a = _head_plus("chowla_selberg", 0.4, moved, DEFAULT_PRECISION).value
     b = eisenstein_cs(0.4, tau).value
     assert abs(a - b) < 1e-9
 
@@ -803,12 +803,12 @@ def test_counters_at_half_are_one_remainder_call(method, remainder):
     "call, n_max, messages",
     [
         (lambda p: remainder_bessel(0.3, 1j, p), 1, ["divisor-Bessel series"]),
-        (lambda p: nan_yue_williams_sum(1j, p), 1, ["divisor-Bessel series", "eta product"]),
+        (lambda p: nan_yue_williams_sum(1j, p), 1, ["divisor-Bessel series", "lambert_series"]),
         # at n_max = 6 the closed form has stopped and only the series is cut
         (lambda p: lambert_q1(1j, p), 6, ["divisor-Bessel series"]),
-        (lambda p: lambert_q1(1j, p), 1, ["divisor-Bessel series", "lambert_q1 closed form"]),
+        (lambda p: lambert_q1(1j, p), 1, ["divisor-Bessel series", "lambert_series"]),
         (lambda p: mellin_remainder_tau_i(0.3, p), 1, ["mellin_remainder_tau_i"]),
-        (lambda p: eta(1j, p), 1, ["eta product"]),
+        (lambda p: eta(1j, p), 1, ["lambert_series"]),
     ],
     ids=[
         "remainder_bessel", "nan_yue_williams", "lambert_series", "lambert_closed", "mellin", "eta",
@@ -894,6 +894,27 @@ def test_lambert_q1_at_i():
 
 def test_lambert_q1_generic_tau():
     assert lambert_q1(0.2 + 0.9j).residual < 1e-10
+
+
+def _lambert_q1_elementary(tau: complex, terms: int = 40) -> float:
+    """-(tau2^(-1/2)/4) Re sum (1/n) (1 - 2 e^(2 pi i n tau) + e^(2 pi i n (tau + conj tau)))
+    / ((e^(2 pi i n tau) - 1)(e^(2 pi i n conj tau) - 1)), every exponential made
+    to decay by dividing through by e^(2 pi i n conj tau)."""
+    total = 0.0 + 0.0j
+    for n in range(1, terms + 1):
+        e_tau = cmath.exp(2j * math.pi * tau * n)
+        e_conj_neg = cmath.exp(-2j * math.pi * tau.conjugate() * n)
+        e_diff = math.exp(-4.0 * math.pi * tau.imag * n)
+        total += (e_conj_neg - 2.0 * e_diff + e_tau) / ((e_tau - 1.0) * (1.0 - e_conj_neg) * n)
+    return -0.25 * tau.imag**-0.5 * total.real
+
+
+@pytest.mark.parametrize("tau", [0.2 + 0.9j, 0.45 + 0.9j, 0.1 + 0.6j, -0.4 + 3j])
+def test_lambert_q1_closed_form_meets_the_elementary_form(tau):
+    # each elementary term is -2 Re[q^n / (1 - q^n)] / n, so the Lambert
+    # series at alpha = -1 gives the same closed side to a few ulp
+    want = _lambert_q1_elementary(tau)
+    assert abs(lambert_q1(tau).closed_form - want) <= 4 * math.ulp(want)
 
 
 # ------------------------------------------------------------ Mellin at tau=i

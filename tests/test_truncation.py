@@ -39,7 +39,7 @@ def _panel_budget() -> None:
 
 # every source of a TruncationWarning: the direct ladder (twice), the K_nu
 # trapezoid cap, the tanh-sinh level cap (contour rows and the operator's
-# head), sum_series at n_max (Bessel series and eta product), the Magnus step
+# head), sum_series at n_max (Bessel series and eta's Lambert series), the Magnus step
 # count and the adaptive Gauss panel budget
 SOURCES = {
     "direct": _direct_in_a_helper,
